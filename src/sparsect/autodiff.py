@@ -1,14 +1,17 @@
 """Minimal reverse-mode differentiation over float64 numpy arrays.
 
 A Tape records nodes in creation order (already topological); backward walks
-the list once in reverse accumulating vector-Jacobian products. Exactly the
+the list once in reverse accumulating vector-Jacobian products. Only nodes
+on a gradient path are recorded; any other node keeps its value but not its
+parents or vjp closures, so a graph of constants records nothing. Exactly the
 primitives the reconstruction network composes are provided: 3x3 stride-1
 convolution, 2x2 stride-2 down/up convolution, leaky ReLU, channel concat,
 elementwise arithmetic, reductions, and a wrapper that treats any linear
 operator with `apply`/`applyT` as a differentiable node.
 
 Single-writer per tape; one backward per tape (a second call raises, there
-is no higher-order gradient support). Everything is float64.
+is no higher-order gradient support), after which the tape drops its nodes.
+Everything is float64.
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ class Tape:
     def _record(self, value, parents, requires_grad):
         if self.consumed:
             raise TapeError("tape already consumed by backward; build a new one")
-        node = TensorNode(self, np.asarray(value, dtype=np.float64),
-                          parents, requires_grad)
+        value = np.asarray(value, dtype=np.float64)
+        if not requires_grad:
+            return TensorNode(self, value)
+        node = TensorNode(self, value, parents, True)
         self.nodes.append(node)
         return node
 
@@ -335,7 +340,7 @@ def backward(root: TensorNode):
     root.grad = np.ones_like(root.value)
     for node in reversed(tape.nodes):
         g = node.grad
-        if g is None or not node.requires_grad:
+        if g is None:
             continue
         for parent, vjp in node.parents:
             if not parent.requires_grad:
@@ -345,3 +350,5 @@ def backward(root: TensorNode):
                 parent.grad = np.array(contrib, dtype=np.float64, copy=True)
             else:
                 parent.grad += contrib
+    # Nodes hold their tape, so the list is a reference cycle; drop it.
+    tape.nodes.clear()

@@ -111,9 +111,6 @@ class ReconNet:
             for name, arr in ps.items()
         }
 
-    def _params_for_stage(self, stage: int):
-        return self.param_sets[0 if self.share_stage_params else stage]
-
     def with_geometry(self, geom: ScanGeometry) -> "ReconNet":
         """Same weights (copied) bound to a different scan layout."""
         twin = ReconNet(
@@ -167,10 +164,19 @@ class ReconNet:
         bundle = self.register_views(y.subset)
         return build_context(y, bundle)
 
-    def _initial(self, tape: ad.Tape, ctx: StageContext) -> ad.TensorNode:
-        if self.zero_init_image:
-            return tape.constant(np.zeros(self.geom.grid))
-        return tape.constant(ctx.x0)
+    def _stage_loop(self, ctx: StageContext, tape: ad.Tape, pnode_sets, n_iters: int):
+        """Yield the initial image, then the iterate after each stage.
+
+        Stage `it` uses parameter set min(it, last), which serves shared and
+        per-stage parameters, and holds the last set past the unfolded depth.
+        """
+        last = len(pnode_sets) - 1
+        x = tape.constant(np.zeros(self.geom.grid) if self.zero_init_image else ctx.x0)
+        yield x
+        for it in range(n_iters):
+            stack = assemble_stack(x, ctx, self.groups)
+            x = apply_correction(stack, pnode_sets[min(it, last)], self.cfg)
+            yield x
 
     def forward_graph(self, y: Sinogram, tape: ad.Tape):
         """Differentiable forward pass.
@@ -181,27 +187,25 @@ class ReconNet:
         """
         ctx = self._context(y)
         pnode_sets = [wrap_params(tape, ps) for ps in self.param_sets]
-        x = self._initial(tape, ctx)
-        for stage in range(self.n_stages):
-            pn = pnode_sets[0 if self.share_stage_params else stage]
-            stack = assemble_stack(x, ctx, self.groups)
-            x = apply_correction(stack, pn, self.cfg)
+        *_, x = self._stage_loop(ctx, tape, pnode_sets, self.n_stages)
         return x, pnode_sets, ctx
 
     def forward(self, y: Sinogram) -> Image:
-        """Reconstruct; inference only, gradients discarded."""
-        tape = ad.Tape()
-        node, _, _ = self.forward_graph(y, tape)
-        return Image(node.value, self.geom)
+        """Reconstruct: the last of `n_stages` iterates of `run_pnp`.
+
+        Parameters enter as constants, so no gradient graph is built; the
+        output equals `forward_graph`'s bitwise.
+        """
+        return Image(self.run_pnp(y, self.n_stages).images[-1], self.geom)
 
     # -- plug-and-play iteration ------------------------------------------------
 
     def run_pnp(self, y: Sinogram, max_iters: int, metric=None) -> PnpTrajectory:
         """Apply the trained stage repeatedly, past the unfolded depth.
 
-        The first n_stages iterates reproduce forward() exactly. `metric`,
-        if given, is called with each image (initialization included) and
-        its values are recorded alongside.
+        The first n_stages iterates are forward()'s. `metric`, if given, is
+        called with each image (initialization included) and its values are
+        recorded alongside.
         """
         ctx = self._context(y)
         tape = ad.Tape()
@@ -209,12 +213,7 @@ class ReconNet:
             {name: tape.constant(arr) for name, arr in ps.items()}
             for ps in self.param_sets
         ]
-        x = self._initial(tape, ctx)
-        images = [x.value.copy()]
-        for it in range(max_iters):
-            idx = 0 if self.share_stage_params else min(it, len(pnode_sets) - 1)
-            stack = assemble_stack(x, ctx, self.groups)
-            x = apply_correction(stack, pnode_sets[idx], self.cfg)
-            images.append(x.value.copy())
+        iterates = self._stage_loop(ctx, tape, pnode_sets, max_iters)
+        images = [x.value.copy() for x in iterates]
         metrics = None if metric is None else [float(metric(im)) for im in images]
         return PnpTrajectory(images=images, metrics=metrics)

@@ -14,9 +14,11 @@ exists separately for gradients). Channel names, in stack order:
   e_null    sparse-view reprojection error of x
   e_null_r  sparse-view reprojection error of the refined estimate
 
-The refined estimate is r = x + e_data - e_null. Optional channel groups
-("interp", "full", "data", "null") gate which are computed; x_prev is
-always present.
+The refined estimate r = x + e_data - e_null telescopes to the sparse-view
+FBP x0 = fbp_s(y_s) for any stage input x, so e_full_r and e_null_r are
+measurement-only: `build_context` computes them once from x0 and every
+stage takes them as constants. Optional channel groups ("interp", "full",
+"data", "null") gate which are computed; x_prev is always present.
 """
 
 from __future__ import annotations
@@ -107,14 +109,17 @@ class StageContext:
     """Measurement-dependent quantities shared by every stage.
 
     x0 is the sparse-view FBP of the data; x_interp is the FBP of the
-    view-interpolated sinogram. Both depend only on (y_s, geometry), so
-    they are computed once per forward pass, not per stage.
+    view-interpolated sinogram; e_full_r and e_null_r are the reprojection
+    errors of x0. All depend only on (y_s, geometry), so they are computed
+    once per forward pass, not per stage.
     """
 
     bundle: OperatorBundle
     y_s: np.ndarray
     x0: np.ndarray
     x_interp: np.ndarray
+    e_full_r: np.ndarray
+    e_null_r: np.ndarray
 
 
 def build_context(y: Sinogram, bundle: OperatorBundle) -> StageContext:
@@ -122,7 +127,9 @@ def build_context(y: Sinogram, bundle: OperatorBundle) -> StageContext:
         raise GeometryError("sinogram subset does not match the operator bundle")
     x0 = bundle.fbp_s.apply(y.data)
     x_interp = bundle.fbp_f.apply(bundle.upsampler.apply(y.data))
-    return StageContext(bundle=bundle, y_s=y.data, x0=x0, x_interp=x_interp)
+    e_full_r = x0 - bundle.fbp_f.apply(bundle.proj_f.apply(x0))
+    e_null_r = x0 - bundle.fbp_s.apply(bundle.proj_s.apply(x0))
+    return StageContext(bundle, y.data, x0, x_interp, e_full_r, e_null_r)
 
 
 def stage_channels(
@@ -134,36 +141,29 @@ def stage_channels(
     need_full = "full" in groups
     need_null = "null" in groups
     need_interp = "interp" in groups
-    need_refined = need_full or need_null
-    need_data_res = need_refined or need_null or ("data" in groups)
+    need_back = need_null or ("data" in groups)
 
     ps_x = None
-    if need_data_res or need_interp:
+    if need_back or need_interp:
         ps_x = ad.linear_op(x, b.proj_s)
     pf_x = None
     if need_full or need_interp:
         pf_x = ad.linear_op(x, b.proj_f)
 
-    if need_data_res:
+    if need_back:
         back = ad.linear_op(ps_x, b.fbp_s)
-        e_data = tape.constant(ctx.x0) - back
-        e_null = x - back
-    if need_refined:
-        refined = (x + e_data) - e_null
     if need_interp:
         out["x_interp"] = tape.constant(ctx.x_interp)
         interp = ad.linear_op(ps_x, b.upsampler)
         out["e_interp"] = ad.linear_op(interp - pf_x, b.fbp_f)
     if need_full:
         out["e_full_x"] = x - ad.linear_op(pf_x, b.fbp_f)
-        pf_r = ad.linear_op(refined, b.proj_f)
-        out["e_full_r"] = refined - ad.linear_op(pf_r, b.fbp_f)
+        out["e_full_r"] = tape.constant(ctx.e_full_r)
     if "data" in groups:
-        out["e_data"] = e_data
+        out["e_data"] = tape.constant(ctx.x0) - back
     if need_null:
-        ps_r = ad.linear_op(refined, b.proj_s)
-        out["e_null"] = e_null
-        out["e_null_r"] = refined - ad.linear_op(ps_r, b.fbp_s)
+        out["e_null"] = x - back
+        out["e_null_r"] = tape.constant(ctx.e_null_r)
     return out
 
 

@@ -159,6 +159,7 @@ def test_criterion_04_fbp_round_trip(acceptance_report):
 # -- 5: end-to-end gradient -------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_05_end_to_end_gradient(acceptance_report):
     t0 = time.time()
     geom = make_geometry("fan", n_views=12, n_det=13, det_spacing=2.2,
@@ -233,6 +234,7 @@ def toy():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_toy_training_uplift(acceptance_report, toy):
     s = toy.scores
     margins = {q: s[("model", q)] - s[("fbp", q)] for q in (15, 30)}
@@ -245,6 +247,7 @@ def test_criterion_06_toy_training_uplift(acceptance_report, toy):
     assert toy.elapsed < 900.0
 
 
+@pytest.mark.slow
 def test_criterion_07_ablation_ordering(acceptance_report, toy):
     t0 = time.time()
     row_a = run_ablation(("a",), toy.spec)[0]

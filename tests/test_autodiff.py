@@ -155,6 +155,11 @@ class TestStructural:
         assert x.grad[0] == 5.0
         assert c.grad is None
 
+        t2 = Tape()
+        a = t2.constant(np.array([2.0, 3.0]))
+        ad.sum_(ad.leaky_relu(a * t2.constant(np.array([5.0, -1.0]))) + 1.0)
+        assert t2.nodes == []
+
     def test_abs_subgradient_at_zero_is_zero(self):
         t = Tape()
         x = t.leaf(np.array([0.0, -1.0, 2.0]))

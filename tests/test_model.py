@@ -1,7 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 
+import sparsect.autodiff as ad
+from sparsect.autodiff import Tape
 from sparsect.correction import param_count
+from sparsect.experiments import toy_model, toy_phantoms
 from sparsect.geometry import (
     GeometryError,
     Sinogram,
@@ -9,6 +14,7 @@ from sparsect.geometry import (
     make_geometry,
     sparse_subset,
 )
+from sparsect.losses import total_loss
 from sparsect.model import ReconNet, geometries_compatible
 from sparsect.projector import JosephProjector
 from sparsect.refine import stack_width, variant_groups
@@ -30,6 +36,30 @@ def measure(geom, q, x=None):
     if x is None:
         x = RNG.random(geom.grid) * 0.5
     return Sinogram(proj.apply(x), geom, subset), x
+
+
+def toy_scan(model, q=15):
+    bundle = model.register_views(q)
+    x = toy_phantoms(1, 5)[0]
+    return Sinogram(bundle.proj_s.apply(x), model.geom, bundle.subset), x
+
+
+def train_step(model, y, x):
+    tape = Tape()
+    out, _, _ = model.forward_graph(y, tape)
+    loss, _, _ = total_loss(out, tape.constant(x))
+    ad.backward(loss)
+
+
+def unreachable_after(fn):
+    """Objects the cycle collector finds after fn() ran with it switched off."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 class TestConstruction:
@@ -132,6 +162,30 @@ class TestForward:
         y, _ = measure(tiny_fan, 5)
         out = m.forward(y)
         assert out.data.shape == tiny_fan.grid
+
+
+class TestOneStageLoop:
+    @pytest.mark.parametrize("share", [True, False])
+    def test_forward_graph_output_equals_forward_bitwise(self, tiny_fan, share):
+        m = tiny_model(tiny_fan, n_stages=3, share_stage_params=share)
+        y, _ = measure(tiny_fan, 5)
+        node, _, _ = m.forward_graph(y, Tape())
+        assert np.array_equal(node.value, m.forward(y).data)
+
+
+class TestNoReferenceCycles:
+    """A finished pass is freed by reference counting alone."""
+
+    def test_forward_and_pnp_leave_no_cycles(self):
+        model = toy_model()
+        y, _ = toy_scan(model)
+        assert unreachable_after(lambda: model.forward(y)) == 0
+        assert unreachable_after(lambda: model.run_pnp(y, max_iters=4)) == 0
+
+    def test_training_step_leaves_no_cycles(self):
+        model = toy_model()
+        y, x = toy_scan(model)
+        assert unreachable_after(lambda: train_step(model, y, x)) == 0
 
 
 class TestPnp:
