@@ -4,6 +4,12 @@ Both are plain linear operators with explicit transposes so the network can
 differentiate through them. The ramp filter is the band-limited Ram-Lak
 kernel evaluated via FFT on rows zero-padded to the next power of two at or
 above twice the detector count; no apodization window is applied.
+
+The backprojector builds its per-view taps once per quarter-turn orbit of
+views (`geometry.view_orbits`), on every call: on a square grid, fan views a
+multiple of pi/2 apart, and parallel views pi/2 apart, share one set of taps,
+and each is accumulated into (or gathered from) an np.rot90 copy of the
+image. Other grids build taps for every view.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .geometry import (
     Sinogram,
     ViewSubset,
     full_subset,
+    view_orbits,
 )
 
 
@@ -75,7 +82,7 @@ class PixelBackprojector:
     def __init__(self, geom: ScanGeometry, subset: ViewSubset | None = None):
         self.geom = geom
         self.subset = subset if subset is not None else full_subset(geom)
-        self.angles = geom.view_angles_full[self.subset.indices]
+        self._orbits = view_orbits(geom, self.subset.indices)
         self.in_shape = (self.subset.q1, geom.n_det)
         self.out_shape = geom.grid
         m1, m2 = geom.grid
@@ -90,10 +97,10 @@ class PixelBackprojector:
         else:
             self._virtual_spacing = geom.det_spacing
 
-    def _view_taps(self, vi: int):
-        """Detector positions and pixel weights for one view."""
+    def _view_taps(self, view: int):
+        """Detector positions and pixel weights for full-view index `view`."""
         g = self.geom
-        angle = float(self.angles[vi])
+        angle = float(g.view_angles_full[view])
         cos, sin = math.cos(angle), math.sin(angle)
         if g.beam == PARALLEL:
             u = -self._px * sin + self._py * cos
@@ -120,23 +127,34 @@ class PixelBackprojector:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape != self.in_shape:
             raise ValueError(f"expected sinogram shape {self.in_shape}")
-        acc = np.zeros(self._px.size)
-        for vi in range(self.subset.q1):
-            i0, i1, w0, w1 = self._view_taps(vi)
-            r = rows[vi]
-            acc += w0 * r[i0] + w1 * r[i1]
-        return acc.reshape(self.out_shape)
+        accs: dict[int, np.ndarray] = {}
+        for rep, positions, turns in self._orbits:
+            i0, i1, w0, w1 = self._view_taps(rep)
+            for vi, k in zip(positions, turns):
+                if k not in accs:
+                    accs[k] = np.zeros(self._px.size)
+                acc = accs[k]
+                r = rows[vi]
+                acc += w0 * r[i0] + w1 * r[i1]
+        out = accs.pop(0, np.zeros(self._px.size)).reshape(self.out_shape)
+        for k, acc in accs.items():
+            out += np.rot90(acc.reshape(self.out_shape), -k)
+        return out
 
     def applyT(self, img: np.ndarray) -> np.ndarray:
         img = np.asarray(img, dtype=np.float64)
         if img.shape != self.out_shape:
             raise ValueError(f"expected image shape {self.out_shape}")
-        flat = img.ravel()
+        flats = {}
         out = np.zeros(self.in_shape)
-        for vi in range(self.subset.q1):
-            i0, i1, w0, w1 = self._view_taps(vi)
-            out[vi] = np.bincount(i0, w0 * flat, minlength=self.geom.n_det)
-            out[vi] += np.bincount(i1, w1 * flat, minlength=self.geom.n_det)
+        for rep, positions, turns in self._orbits:
+            i0, i1, w0, w1 = self._view_taps(rep)
+            for vi, k in zip(positions, turns):
+                if k not in flats:
+                    flats[k] = np.rot90(img, k).ravel()
+                flat = flats[k]
+                out[vi] = np.bincount(i0, w0 * flat, minlength=self.geom.n_det)
+                out[vi] += np.bincount(i1, w1 * flat, minlength=self.geom.n_det)
         return out
 
 

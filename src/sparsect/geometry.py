@@ -188,6 +188,47 @@ def full_subset(geom: ScanGeometry) -> ViewSubset:
     return ViewSubset(np.arange(geom.n_views_full), geom.n_views_full)
 
 
+# Two view angles closer than this are the same view.
+_ANGLE_TOL = 1e-12
+
+
+def view_orbits(
+    geom: ScanGeometry, indices: np.ndarray
+) -> list[tuple[int, list[int], list[int]]]:
+    """Group views that one projector or backprojector table can serve.
+
+    On a square grid the pixel lattice is unchanged by a quarter turn about
+    its centre, so view theta + k*pi/2 of an image x is view theta of
+    np.rot90(x, k). That allows k < 4 for fan beams and k < 2 for parallel
+    beams (range pi). View j's representative is the full view at
+    theta_j - k*pi/2 for the largest such k that has one within 1e-12 rad;
+    on a non-square grid, or without partners, each view is its own.
+
+    Returns (representative full-view index, positions in `indices`, k per
+    position) triples, one per representative, as plain ints for the
+    per-view loops. Representatives are chosen over the full view set, so a
+    view is computed the same way in every subset.
+    """
+    ang = geom.view_angles_full
+    idx = np.asarray(indices, dtype=np.int64)
+    rep = idx.copy()
+    turns = np.zeros(idx.size, dtype=np.int64)
+    m1, m2 = geom.grid
+    max_turns = 1 if m1 != m2 else (4 if geom.beam == FAN else 2)
+    for k in range(max_turns - 1, 0, -1):
+        target = ang[idx] - k * (0.5 * math.pi)
+        hi = np.minimum(np.searchsorted(ang, target), ang.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        near = np.where(np.abs(ang[lo] - target) <= np.abs(ang[hi] - target), lo, hi)
+        hit = (turns == 0) & (np.abs(ang[near] - target) <= _ANGLE_TOL)
+        rep[hit] = near[hit]
+        turns[hit] = k
+    return [
+        (r, np.flatnonzero(rep == r).tolist(), turns[rep == r].tolist())
+        for r in sorted(set(rep.tolist()))
+    ]
+
+
 def sparse_subset(geom: ScanGeometry, q1: int) -> ViewSubset:
     """Decimate the full view set to q1 views: index k -> floor(k*n/q1)."""
     if not 1 <= q1 <= geom.n_views_full:

@@ -162,7 +162,7 @@ class ReconNet:
         if not geometries_compatible(y.geom, self.geom):
             raise GeometryError("sinogram geometry does not match the model's")
         bundle = self.register_views(y.subset)
-        return build_context(y, bundle)
+        return build_context(y, bundle, self.groups)
 
     def _stage_loop(self, ctx: StageContext, tape: ad.Tape, pnode_sets, n_iters: int):
         """Yield the initial image, then the iterate after each stage.

@@ -5,6 +5,11 @@ pixel plane at a time and linearly interpolating between the two pixels the
 ray passes between (Joseph-style sampling). The adjoint scatters with the
 same index/weight tables the forward gathers with, so the two operators are
 transposes of each other to rounding.
+
+Tables are built once per quarter-turn orbit of views (`geometry.view_orbits`):
+on a square grid, fan views a multiple of pi/2 apart, and parallel views pi/2
+apart, share one table, and each is gathered from (or scattered into) an
+np.rot90 copy of the image. Other grids build one table per view.
 """
 
 from __future__ import annotations
@@ -19,10 +24,13 @@ from .geometry import (
     Sinogram,
     ViewSubset,
     full_subset,
+    view_orbits,
 )
 
-# Per-geometry table cache is skipped above this many bytes; tables are
-# cheap to rebuild and large geometries would otherwise pin gigabytes.
+# Per-geometry table cache is skipped above this many bytes, estimated over
+# every view of the subset; large geometries would otherwise pin gigabytes.
+# Above it, each call rebuilds one table per orbit, which costs about ten
+# times the gather that uses it.
 _CACHE_LIMIT_BYTES = 64 * 2**20
 
 
@@ -80,7 +88,7 @@ class JosephProjector:
         self.subset = subset if subset is not None else full_subset(geom)
         if self.subset.indices[-1] >= geom.n_views_full:
             raise ValueError("subset index exceeds the full view count")
-        self.angles = geom.view_angles_full[self.subset.indices]
+        self._orbits = view_orbits(geom, self.subset.indices)
         self.in_shape = geom.grid
         self.out_shape = (self.subset.q1, geom.n_det)
         m1, m2 = geom.grid
@@ -117,14 +125,15 @@ class JosephProjector:
             return p_col, p_row, d_col, d_row
         return p_col, p_row, d_col, d_row
 
-    def _view_tables(self, vi: int):
-        if self._cache is not None and vi in self._cache:
-            return self._cache[vi]
+    def _view_tables(self, view: int):
+        """Tables for full-view index `view`, cached by that index."""
+        if self._cache is not None and view in self._cache:
+            return self._cache[view]
         m1, m2 = self.geom.grid
-        rays = self._view_rays(float(self.angles[vi]))
+        rays = self._view_rays(float(self.geom.view_angles_full[view]))
         tabs = _joseph_tables(*rays, m1, m2, self.geom.pixel_size)
         if self._cache is not None:
-            self._cache[vi] = tabs
+            self._cache[view] = tabs
         return tabs
 
     # -- operator interface --------------------------------------------------
@@ -133,15 +142,20 @@ class JosephProjector:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.in_shape:
             raise ValueError(f"expected image shape {self.in_shape}")
-        flat = x.ravel()
+        flats = {}
         out = np.zeros(self.out_shape)
-        for vi in range(self.subset.q1):
-            for ray_sel, lin0, lin1, w0, w1 in self._view_tables(vi):
-                vals = (w0 * flat[lin0] + w1 * flat[lin1]).sum(axis=0)
-                if ray_sel is None:
-                    out[vi] = vals
-                else:
-                    out[vi, ray_sel] = vals
+        for rep, positions, turns in self._orbits:
+            tabs = self._view_tables(rep)
+            for vi, k in zip(positions, turns):
+                if k not in flats:
+                    flats[k] = np.rot90(x, k).ravel()
+                flat = flats[k]
+                for ray_sel, lin0, lin1, w0, w1 in tabs:
+                    vals = (w0 * flat[lin0] + w1 * flat[lin1]).sum(axis=0)
+                    if ray_sel is None:
+                        out[vi] = vals
+                    else:
+                        out[vi, ray_sel] = vals
         return out
 
     def applyT(self, y: np.ndarray) -> np.ndarray:
@@ -149,17 +163,25 @@ class JosephProjector:
         if y.shape != self.out_shape:
             raise ValueError(f"expected sinogram shape {self.out_shape}")
         m = self.in_shape[0] * self.in_shape[1]
-        out = np.zeros(m)
-        for vi in range(self.subset.q1):
-            for ray_sel, lin0, lin1, w0, w1 in self._view_tables(vi):
-                row = y[vi] if ray_sel is None else y[vi, ray_sel]
-                out += np.bincount(
-                    lin0.ravel(), (w0 * row[None, :]).ravel(), minlength=m
-                )
-                out += np.bincount(
-                    lin1.ravel(), (w1 * row[None, :]).ravel(), minlength=m
-                )
-        return out.reshape(self.in_shape)
+        accs: dict[int, np.ndarray] = {}
+        for rep, positions, turns in self._orbits:
+            tabs = self._view_tables(rep)
+            for vi, k in zip(positions, turns):
+                if k not in accs:
+                    accs[k] = np.zeros(m)
+                acc = accs[k]
+                for ray_sel, lin0, lin1, w0, w1 in tabs:
+                    row = y[vi] if ray_sel is None else y[vi, ray_sel]
+                    acc += np.bincount(
+                        lin0.ravel(), (w0 * row[None, :]).ravel(), minlength=m
+                    )
+                    acc += np.bincount(
+                        lin1.ravel(), (w1 * row[None, :]).ravel(), minlength=m
+                    )
+        out = accs.pop(0, np.zeros(m)).reshape(self.in_shape)
+        for k, acc in accs.items():
+            out += np.rot90(acc.reshape(self.in_shape), -k)
+        return out
 
 
 def forward_project(x: Image, subset: ViewSubset | None = None) -> Sinogram:

@@ -16,9 +16,10 @@ exists separately for gradients). Channel names, in stack order:
 
 The refined estimate r = x + e_data - e_null telescopes to the sparse-view
 FBP x0 = fbp_s(y_s) for any stage input x, so e_full_r and e_null_r are
-measurement-only: `build_context` computes them once from x0 and every
-stage takes them as constants. Optional channel groups ("interp", "full",
-"data", "null") gate which are computed; x_prev is always present.
+measurement-only: `build_context` computes them once from x0, for the groups
+that read them, and every stage takes them as constants. Optional channel
+groups ("interp", "full", "data", "null") gate which are computed; x_prev is
+always present.
 """
 
 from __future__ import annotations
@@ -111,24 +112,32 @@ class StageContext:
     x0 is the sparse-view FBP of the data; x_interp is the FBP of the
     view-interpolated sinogram; e_full_r and e_null_r are the reprojection
     errors of x0. All depend only on (y_s, geometry), so they are computed
-    once per forward pass, not per stage.
+    once per forward pass, not per stage. A field whose channel group is
+    not enabled is None.
     """
 
     bundle: OperatorBundle
     y_s: np.ndarray
     x0: np.ndarray
-    x_interp: np.ndarray
-    e_full_r: np.ndarray
-    e_null_r: np.ndarray
+    x_interp: np.ndarray | None
+    e_full_r: np.ndarray | None
+    e_null_r: np.ndarray | None
 
 
-def build_context(y: Sinogram, bundle: OperatorBundle) -> StageContext:
+def build_context(
+    y: Sinogram, bundle: OperatorBundle, groups: frozenset[str] = ALL_GROUPS
+) -> StageContext:
+    """Compute x0 and the measurement-only channels the groups read."""
     if not np.array_equal(y.subset.indices, bundle.subset.indices):
         raise GeometryError("sinogram subset does not match the operator bundle")
     x0 = bundle.fbp_s.apply(y.data)
-    x_interp = bundle.fbp_f.apply(bundle.upsampler.apply(y.data))
-    e_full_r = x0 - bundle.fbp_f.apply(bundle.proj_f.apply(x0))
-    e_null_r = x0 - bundle.fbp_s.apply(bundle.proj_s.apply(x0))
+    x_interp = e_full_r = e_null_r = None
+    if "interp" in groups:
+        x_interp = bundle.fbp_f.apply(bundle.upsampler.apply(y.data))
+    if "full" in groups:
+        e_full_r = x0 - bundle.fbp_f.apply(bundle.proj_f.apply(x0))
+    if "null" in groups:
+        e_null_r = x0 - bundle.fbp_s.apply(bundle.proj_s.apply(x0))
     return StageContext(bundle, y.data, x0, x_interp, e_full_r, e_null_r)
 
 

@@ -260,6 +260,7 @@ def test_criterion_07_ablation_ordering(acceptance_report, toy):
            f"{base_score:.2f} dB, {elapsed:.0f}s combined (bound 1800)")
 
 
+@pytest.mark.slow
 def test_criterion_08_untrained_view_count(acceptance_report, toy):
     t0 = time.time()
     model_20 = float(np.mean(eval_model(toy.model, toy.test_imgs, 20)))
@@ -271,6 +272,7 @@ def test_criterion_08_untrained_view_count(acceptance_report, toy):
            f"FBP {fbp_20:.2f} dB, {elapsed:.0f}s (bound 60)")
 
 
+@pytest.mark.slow
 def test_criterion_09_pnp_stability(acceptance_report, toy):
     t0 = time.time()
     trace = perturbed_pnp_psnr(toy.model, toy.test_imgs[0], q=15,

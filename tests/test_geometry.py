@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sparsect.geometry import (
     GeometryError,
     Image,
+    ScanGeometry,
     Sinogram,
     full_subset,
     geometry_from_config,
@@ -15,6 +16,7 @@ from sparsect.geometry import (
     resolve_geometry,
     scaled_preset,
     sparse_subset,
+    view_orbits,
 )
 
 
@@ -122,6 +124,31 @@ class TestSubsets:
         if q > 1:
             gaps = np.diff(np.concatenate([idx, [n]]))
             assert gaps.max() - gaps.min() <= 1
+
+
+class TestViewOrbits:
+    def test_fan_full_set_forms_quarter_turn_orbits(self, small_fan):
+        orbits = view_orbits(small_fan, full_subset(small_fan).indices)
+        assert [rep for rep, _, _ in orbits] == [0, 1, 2]
+        for rep, positions, turns in orbits:
+            assert positions == [rep, rep + 3, rep + 6, rep + 9]
+            assert turns == [0, 1, 2, 3]
+
+    def test_representatives_come_from_the_full_set(self, small_parallel):
+        # views 2, 4, 7, 9 of 12 over pi; 7 and 9 sit a quarter turn past
+        # views 1 and 3, which the subset does not hold
+        sub = sparse_subset(small_parallel, 5)
+        orbits = view_orbits(small_parallel, sub.indices)
+        got = {rep: (p, t) for rep, p, t in orbits}
+        assert got == {0: ([0], [0]), 1: ([3], [1]), 2: ([1], [0]),
+                       3: ([4], [1]), 4: ([2], [0])}
+
+    def test_partners_need_to_match_within_tolerance(self, small_fan):
+        nudged = small_fan.view_angles_full + np.arange(12) * 1e-9
+        g = ScanGeometry(**{**vars(small_fan), "view_angles_full": nudged})
+        orbits = view_orbits(g, full_subset(g).indices)
+        assert len(orbits) == 12
+        assert all(t == [0] for _, _, t in orbits)
 
 
 class TestPerturbation:

@@ -7,6 +7,7 @@ import sparsect.autodiff as ad
 from sparsect.autodiff import Tape
 from sparsect.correction import param_count
 from sparsect.experiments import toy_model, toy_phantoms
+from sparsect.fbp import FbpOperator, ViewUpsampler
 from sparsect.geometry import (
     GeometryError,
     Sinogram,
@@ -162,6 +163,24 @@ class TestForward:
         y, _ = measure(tiny_fan, 5)
         out = m.forward(y)
         assert out.data.shape == tiny_fan.grid
+
+    @pytest.mark.parametrize("variant, calls", [("a", 1), ("g", 7)])
+    def test_context_makes_only_the_operator_calls_its_groups_read(
+        self, tiny_fan, monkeypatch, variant, calls
+    ):
+        m = tiny_model(tiny_fan, variant=variant)
+        y, _ = measure(tiny_fan, 5)
+        m.register_views(y.subset)
+        made = []
+        for cls in (JosephProjector, FbpOperator, ViewUpsampler):
+            def counted(self, arr, _apply=cls.apply):
+                made.append(type(self).__name__)
+                return _apply(self, arr)
+            monkeypatch.setattr(cls, "apply", counted)
+        ctx = m._context(y)
+        assert len(made) == calls
+        unused = (ctx.x_interp, ctx.e_full_r, ctx.e_null_r)
+        assert all((v is None) == (variant == "a") for v in unused)
 
 
 class TestOneStageLoop:

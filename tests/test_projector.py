@@ -9,8 +9,10 @@ from sparsect.geometry import (
     make_geometry,
     sparse_subset,
 )
+from sparsect import projector
 from sparsect.projector import (
     JosephProjector,
+    _joseph_tables,
     back_project,
     dense_matrix_oracle,
     forward_project,
@@ -163,6 +165,85 @@ class TestStructure:
             proj.apply(np.zeros((4, 4)))
         with pytest.raises(ValueError):
             proj.applyT(np.zeros((3, 3)))
+
+
+def _reference_rows(proj, x):
+    """Rows gathered from tables built at each view's own angle."""
+    geom = proj.geom
+    flat = x.ravel()
+    out = np.zeros(proj.out_shape)
+    for vi, view in enumerate(proj.subset.indices):
+        rays = proj._view_rays(float(geom.view_angles_full[view]))
+        for ray_sel, lin0, lin1, w0, w1 in _joseph_tables(
+            *rays, *geom.grid, geom.pixel_size
+        ):
+            vals = (w0 * flat[lin0] + w1 * flat[lin1]).sum(axis=0)
+            out[vi, slice(None) if ray_sel is None else ray_sel] = vals
+    return out
+
+
+def _reference_transpose(proj, y):
+    """Scatter with the same per-view tables, by np.add.at."""
+    geom = proj.geom
+    out = np.zeros(geom.grid[0] * geom.grid[1])
+    for vi, view in enumerate(proj.subset.indices):
+        rays = proj._view_rays(float(geom.view_angles_full[view]))
+        for ray_sel, lin0, lin1, w0, w1 in _joseph_tables(
+            *rays, *geom.grid, geom.pixel_size
+        ):
+            row = y[vi] if ray_sel is None else y[vi, ray_sel]
+            np.add.at(out, lin0.ravel(), (w0 * row).ravel())
+            np.add.at(out, lin1.ravel(), (w1 * row).ravel())
+    return out.reshape(geom.grid)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestQuarterTurnOrbits:
+    @pytest.mark.parametrize("beam, n_orbits", [("fan", 3), ("parallel", 6)])
+    @pytest.mark.parametrize("q", [12, 7])
+    def test_rows_and_transpose_match_per_view_reference(
+        self, beam, n_orbits, q, small_fan, small_parallel
+    ):
+        geom = small_fan if beam == "fan" else small_parallel
+        proj = JosephProjector(geom, sparse_subset(geom, q))
+        if q == 12:
+            assert len(proj._orbits) == n_orbits
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(proj.in_shape)
+        y = rng.standard_normal(proj.out_shape)
+        assert _rel(proj.apply(x), _reference_rows(proj, x)) <= 1e-12
+        assert _rel(proj.applyT(y), _reference_transpose(proj, y)) <= 1e-12
+
+    def test_full_view_apply_builds_one_table_per_orbit(
+        self, small_fan, monkeypatch
+    ):
+        built = []
+
+        def counted(*args):
+            built.append(1)
+            return _joseph_tables(*args)
+
+        monkeypatch.setattr(projector, "_joseph_tables", counted)
+        JosephProjector(small_fan).apply(np.ones(small_fan.grid))
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("grid", [(8, 8), (9, 7)])
+    def test_views_without_partners_match_reference_bitwise(self, grid):
+        # 9 fan views are 40 degrees apart: no view is a multiple of a
+        # quarter turn from another. 12 views on a non-square grid: the turn
+        # changes the grid.
+        n_views = 9 if grid == (8, 8) else 12
+        geom = make_geometry("fan", n_views=n_views, n_det=13, det_spacing=2.2,
+                             grid=grid, pixel_size=1.0, src_dist=25.0,
+                             det_dist=25.0)
+        proj = JosephProjector(geom)
+        assert [rep for rep, _, _ in proj._orbits] == list(range(n_views))
+        assert all(t == [0] for _, _, t in proj._orbits)
+        x = np.random.default_rng(8).standard_normal(grid)
+        assert np.array_equal(proj.apply(x), _reference_rows(proj, x))
 
 
 class TestWrappers:
