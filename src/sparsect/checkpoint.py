@@ -18,6 +18,9 @@ Layout (little-endian):
     [optimizer] step u64, lr/beta1/beta2/eps f64, then first-moment and
                 second-moment entry lists in the same encoding
     [rng]       json_len u32, utf8 json of the bit-generator state
+
+A save writes a temporary file beside the target and moves it into place
+(`tensorio.atomic_write`), so a failed save keeps the previous checkpoint.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .geometry import ScanGeometry
 from .model import ReconNet
 from .optim import Adam, AdamConfig
 from .refine import VARIANTS, stack_width, variant_groups
+from .tensorio import atomic_write
 
 MAGIC = b"MVMS"
 VERSION = 1
@@ -118,7 +122,7 @@ def save_checkpoint(
         flags |= _FLAG_ADAM
     if rng is not None:
         flags |= _FLAG_RNG
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<IIII", cfg.width, cfg.depth, model.n_stages, cfg.c_in))

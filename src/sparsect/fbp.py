@@ -6,10 +6,12 @@ kernel evaluated via FFT on rows zero-padded to the next power of two at or
 above twice the detector count; no apodization window is applied.
 
 The backprojector builds its per-view taps once per quarter-turn orbit of
-views (`geometry.view_orbits`), on every call: on a square grid, fan views a
-multiple of pi/2 apart, and parallel views pi/2 apart, share one set of taps,
-and each is accumulated into (or gathered from) an np.rot90 copy of the
-image. Other grids build taps for every view.
+views (`geometry.view_orbits`): on a square grid, fan views a multiple of
+pi/2 apart, and parallel views pi/2 apart, share one set of taps, and each is
+accumulated into (or gathered from) an np.rot90 copy of the image. Other
+grids build taps for every view. Taps are kept across calls under the
+projector's byte limit (`projector._CACHE_LIMIT_BYTES`, estimated over every
+view of the subset); above it they are rebuilt on every call.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .geometry import (
     full_subset,
     view_orbits,
 )
+from .projector import _CACHE_LIMIT_BYTES
 
 
 def _pad_length(n_det: int) -> int:
@@ -86,6 +89,11 @@ class PixelBackprojector:
         self.in_shape = (self.subset.q1, geom.n_det)
         self.out_shape = geom.grid
         m1, m2 = geom.grid
+        # two int64 index and two float64 weight arrays per view
+        est = self.subset.q1 * m1 * m2 * 32
+        self._cache: dict[int, tuple] | None = (
+            {} if est <= _CACHE_LIMIT_BYTES else None
+        )
         cols = (np.arange(m2) - 0.5 * (m2 - 1)) * geom.pixel_size
         rows = (np.arange(m1) - 0.5 * (m1 - 1)) * geom.pixel_size
         cgrid, rgrid = np.meshgrid(cols, rows)
@@ -98,6 +106,15 @@ class PixelBackprojector:
             self._virtual_spacing = geom.det_spacing
 
     def _view_taps(self, view: int):
+        """Taps for full-view index `view`, cached by that index."""
+        if self._cache is not None and view in self._cache:
+            return self._cache[view]
+        taps = self._build_taps(view)
+        if self._cache is not None:
+            self._cache[view] = taps
+        return taps
+
+    def _build_taps(self, view: int):
         """Detector positions and pixel weights for full-view index `view`."""
         g = self.geom
         angle = float(g.view_angles_full[view])

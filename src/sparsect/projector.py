@@ -27,10 +27,12 @@ from .geometry import (
     view_orbits,
 )
 
-# Per-geometry table cache is skipped above this many bytes, estimated over
-# every view of the subset; large geometries would otherwise pin gigabytes.
-# Above it, each call rebuilds one table per orbit, which costs about ten
-# times the gather that uses it.
+# Per-operator cache limit, shared by the projector's tables and the
+# backprojector's taps (fbp.PixelBackprojector): a cache is skipped when its
+# estimate over every view of the subset exceeds this many bytes, since large
+# geometries would otherwise pin gigabytes. Without a cache, each call
+# rebuilds one table per orbit, which costs about ten times the gather that
+# uses it.
 _CACHE_LIMIT_BYTES = 64 * 2**20
 
 

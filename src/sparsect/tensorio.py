@@ -8,11 +8,16 @@ Tensor container layout (little-endian throughout):
     dims    rank * u64, row-major order
     dtype   u8       1 = float64, 2 = float32
     payload raw C-order array bytes
+
+Tensors and checkpoints are written through `atomic_write`, so a crash or
+error part-way through a save leaves any earlier file at the target intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,12 +34,33 @@ class TensorFormatError(Exception):
     pass
 
 
+@contextmanager
+def atomic_write(path: str | Path):
+    """Yield a binary file that replaces `path` only once the block completes.
+
+    Bytes go to a temporary file in the target's directory, which is synced
+    and then moved over the target with os.replace. If the block raises, the
+    temporary file is removed and the target is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_tensor(path: str | Path, arr: np.ndarray):
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _CODE_FOR:
         arr = arr.astype(np.float64)
     code = _CODE_FOR[arr.dtype]
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from sparsect import checkpoint
 from sparsect.checkpoint import (
     MAGIC,
     Checkpoint,
@@ -108,6 +109,23 @@ class TestRoundTrip:
         fa, fb = m.named_parameters(), rebuilt.named_parameters()
         for k in fa:
             assert np.array_equal(fa[k], fb[k])
+
+    def test_failed_save_keeps_previous_checkpoint(self, tiny_fan, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(tiny_fan, seed=1))
+        before = path.read_bytes()
+        write_entries = checkpoint._write_entries
+
+        def fail_midway(f, entries):
+            write_entries(f, entries)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, "_write_entries", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, tiny_model(tiny_fan, seed=2))
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).width == 2
+        assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 class TestValidation:

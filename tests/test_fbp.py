@@ -87,7 +87,7 @@ def _reference_backprojection(bp, rows):
     """Accumulate each view with taps built at its own angle."""
     acc = np.zeros(bp.out_shape[0] * bp.out_shape[1])
     for vi, view in enumerate(bp.subset.indices):
-        i0, i1, w0, w1 = bp._view_taps(view)
+        i0, i1, w0, w1 = bp._build_taps(view)
         r = rows[vi]
         acc += w0 * r[i0] + w1 * r[i1]
     return acc.reshape(bp.out_shape)
@@ -98,7 +98,7 @@ def _reference_backprojection_T(bp, img):
     flat = img.ravel()
     out = np.zeros(bp.in_shape)
     for vi, view in enumerate(bp.subset.indices):
-        i0, i1, w0, w1 = bp._view_taps(view)
+        i0, i1, w0, w1 = bp._build_taps(view)
         np.add.at(out[vi], i0, w0 * flat)
         np.add.at(out[vi], i1, w1 * flat)
     return out
@@ -144,6 +144,42 @@ class TestBackprojectorOrbits:
         assert len(bp._orbits) == n_views
         rows = np.random.default_rng(10).standard_normal(bp.in_shape)
         assert np.array_equal(bp.apply(rows), _reference_backprojection(bp, rows))
+
+
+class TestBackprojectorTapCache:
+    @pytest.mark.parametrize("beam", ["fan", "parallel"])
+    def test_second_calls_build_no_taps_and_repeat_bitwise(
+        self, beam, small_fan, small_parallel, monkeypatch
+    ):
+        geom = small_fan if beam == "fan" else small_parallel
+        built = []
+        build = PixelBackprojector._build_taps
+
+        def counted(self, view):
+            built.append(view)
+            return build(self, view)
+
+        monkeypatch.setattr(PixelBackprojector, "_build_taps", counted)
+        bp = PixelBackprojector(geom, sparse_subset(geom, 6))
+        assert bp._cache is not None
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal(bp.in_shape)
+        img = rng.standard_normal(geom.grid)
+        first = bp.apply(rows), bp.applyT(img)
+        assert sorted(built) == sorted(rep for rep, _, _ in bp._orbits)
+        n_built = len(built)
+        second = bp.apply(rows), bp.applyT(img)
+        assert len(built) == n_built
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_full_view_backprojector_at_256_views_keeps_no_taps(self):
+        geom = make_geometry("fan", n_views=256, n_det=256, det_spacing=2.0,
+                             grid=(128, 128), pixel_size=0.7, src_dist=125.0,
+                             det_dist=125.0)
+        bp = PixelBackprojector(geom)
+        bp.apply(np.ones(bp.in_shape))
+        assert bp._cache is None
 
 
 class TestFbpOperator:

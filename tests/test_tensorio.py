@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from sparsect import tensorio
 from sparsect.tensorio import (
     MAGIC,
     TensorFormatError,
@@ -64,6 +65,28 @@ class TestTensorRoundTrip:
         p = tmp_path_factory.mktemp("t") / "x.tgrd"
         save_tensor(p, a)
         assert np.array_equal(load_tensor(p), a)
+
+    def test_failed_save_keeps_previous_tensor(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.tgrd"
+        a = RNG.standard_normal((4, 3))
+        save_tensor(p, a)
+        real_struct = tensorio.struct
+
+        class FailAfterHeader:
+            unpack_from = staticmethod(real_struct.unpack_from)
+
+            @staticmethod
+            def pack(fmt, *values):
+                if fmt == "<B":  # the dtype code, after magic, version and dims
+                    raise OSError("disk full")
+                return real_struct.pack(fmt, *values)
+
+        monkeypatch.setattr(tensorio, "struct", FailAfterHeader)
+        with pytest.raises(OSError, match="disk full"):
+            save_tensor(p, np.zeros((2, 2)))
+        monkeypatch.undo()
+        assert np.array_equal(load_tensor(p), a)
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
 
 
 class TestTensorCorruption:
