@@ -5,13 +5,13 @@ differentiate through them. The ramp filter is the band-limited Ram-Lak
 kernel evaluated via FFT on rows zero-padded to the next power of two at or
 above twice the detector count; no apodization window is applied.
 
-The backprojector builds its per-view taps once per quarter-turn orbit of
-views (`geometry.view_orbits`): on a square grid, fan views a multiple of
-pi/2 apart, and parallel views pi/2 apart, share one set of taps, and each is
-accumulated into (or gathered from) an np.rot90 copy of the image. Other
-grids build taps for every view. Taps are kept across calls under the
-projector's byte limit (`projector._CACHE_LIMIT_BYTES`, estimated over every
-view of the subset); above it they are rebuilt on every call.
+The backprojector and the view upsampler run on the projector's two-tap
+core (`projector._gather`, `projector._scatter`). The backprojector supplies
+only its per-view detector taps (`_pixel_taps`); `projector._OrbitCore`
+builds them once per quarter-turn orbit of views, keeps them under its byte
+limit, and runs the orbit loops over np.rot90 copies of the image. The
+upsampler supplies one flat table over the full view set, with the parallel
+beam's wrap-around detector flips folded into its indices.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from .geometry import (
     Sinogram,
     ViewSubset,
     full_subset,
-    view_orbits,
 )
-from .projector import _CACHE_LIMIT_BYTES
+from .projector import _checked, _gather, _OrbitCore, _scatter, _view_subset
 
 
 def _pad_length(n_det: int) -> int:
@@ -73,6 +72,41 @@ class RampFilter:
     applyT = apply
 
 
+def _pixel_taps(geom: ScanGeometry, view: int) -> list:
+    """Detector taps and pixel weights of full-view index `view`.
+
+    The `projector._OrbitCore` builder: one group covering every detector
+    cell, with (m1*m2,) index and weight arrays into the row.
+    """
+    m1, m2 = geom.grid
+    # pixel centre coordinates, broadcast over the (m1, m2) grid
+    px = ((np.arange(m2) - 0.5 * (m2 - 1)) * geom.pixel_size)[None, :]
+    py = ((np.arange(m1) - 0.5 * (m1 - 1)) * geom.pixel_size)[:, None]
+    angle = float(geom.view_angles_full[view])
+    cos, sin = math.cos(angle), math.sin(angle)
+    if geom.beam == PARALLEL:
+        u = (-px * sin + py * cos).ravel()
+        spacing, wpix = geom.det_spacing, None
+    else:
+        ds, dd = geom.src_dist, geom.det_dist
+        dist = (ds - (px * cos + py * sin)).ravel()
+        u = (ds * (-px * sin + py * cos)).ravel() / dist
+        spacing = geom.det_spacing * ds / (ds + dd)
+        mag = dist / ds
+        wpix = 1.0 / (mag * mag)
+    n = geom.n_det
+    tpos = u / spacing + 0.5 * (n - 1)
+    i0 = np.floor(tpos)
+    frac = tpos - i0
+    i0 = i0.astype(np.int64)
+    w0 = np.where((i0 >= 0) & (i0 <= n - 1), 1.0 - frac, 0.0)
+    w1 = np.where((i0 >= -1) & (i0 <= n - 2), frac, 0.0)
+    if wpix is not None:
+        w0 = w0 * wpix
+        w1 = w1 * wpix
+    return [(slice(None), np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1), w0, w1)]
+
+
 class PixelBackprojector:
     """Interpolating backprojection over the subset's views.
 
@@ -84,95 +118,16 @@ class PixelBackprojector:
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset | None = None):
         self.geom = geom
-        self.subset = subset if subset is not None else full_subset(geom)
-        self._orbits = view_orbits(geom, self.subset.indices)
-        self.in_shape = (self.subset.q1, geom.n_det)
+        self._core = _OrbitCore(geom, subset, _pixel_taps, geom.grid[0] * geom.grid[1])
+        self.subset = self._core.subset
+        self.in_shape = self._core.rows_shape
         self.out_shape = geom.grid
-        m1, m2 = geom.grid
-        # two int64 index and two float64 weight arrays per view
-        est = self.subset.q1 * m1 * m2 * 32
-        self._cache: dict[int, tuple] | None = (
-            {} if est <= _CACHE_LIMIT_BYTES else None
-        )
-        cols = (np.arange(m2) - 0.5 * (m2 - 1)) * geom.pixel_size
-        rows = (np.arange(m1) - 0.5 * (m1 - 1)) * geom.pixel_size
-        cgrid, rgrid = np.meshgrid(cols, rows)
-        self._px = cgrid.ravel()
-        self._py = rgrid.ravel()
-        if geom.beam == FAN:
-            ds, dd = geom.src_dist, geom.det_dist
-            self._virtual_spacing = geom.det_spacing * ds / (ds + dd)
-        else:
-            self._virtual_spacing = geom.det_spacing
-
-    def _view_taps(self, view: int):
-        """Taps for full-view index `view`, cached by that index."""
-        if self._cache is not None and view in self._cache:
-            return self._cache[view]
-        taps = self._build_taps(view)
-        if self._cache is not None:
-            self._cache[view] = taps
-        return taps
-
-    def _build_taps(self, view: int):
-        """Detector positions and pixel weights for full-view index `view`."""
-        g = self.geom
-        angle = float(g.view_angles_full[view])
-        cos, sin = math.cos(angle), math.sin(angle)
-        if g.beam == PARALLEL:
-            u = -self._px * sin + self._py * cos
-            wpix = None
-        else:
-            dist = g.src_dist - (self._px * cos + self._py * sin)
-            u = g.src_dist * (-self._px * sin + self._py * cos) / dist
-            mag = dist / g.src_dist
-            wpix = 1.0 / (mag * mag)
-        tpos = u / self._virtual_spacing + 0.5 * (g.n_det - 1)
-        i0 = np.floor(tpos)
-        frac = tpos - i0
-        i0 = i0.astype(np.int64)
-        in0 = (i0 >= 0) & (i0 <= g.n_det - 1)
-        in1 = (i0 >= -1) & (i0 <= g.n_det - 2)
-        w0 = np.where(in0, 1.0 - frac, 0.0)
-        w1 = np.where(in1, frac, 0.0)
-        if wpix is not None:
-            w0 = w0 * wpix
-            w1 = w1 * wpix
-        return np.clip(i0, 0, g.n_det - 1), np.clip(i0 + 1, 0, g.n_det - 1), w0, w1
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape != self.in_shape:
-            raise ValueError(f"expected sinogram shape {self.in_shape}")
-        accs: dict[int, np.ndarray] = {}
-        for rep, positions, turns in self._orbits:
-            i0, i1, w0, w1 = self._view_taps(rep)
-            for vi, k in zip(positions, turns):
-                if k not in accs:
-                    accs[k] = np.zeros(self._px.size)
-                acc = accs[k]
-                r = rows[vi]
-                acc += w0 * r[i0] + w1 * r[i1]
-        out = accs.pop(0, np.zeros(self._px.size)).reshape(self.out_shape)
-        for k, acc in accs.items():
-            out += np.rot90(acc.reshape(self.out_shape), -k)
-        return out
+        return self._core.rows_to_image(rows)
 
     def applyT(self, img: np.ndarray) -> np.ndarray:
-        img = np.asarray(img, dtype=np.float64)
-        if img.shape != self.out_shape:
-            raise ValueError(f"expected image shape {self.out_shape}")
-        flats = {}
-        out = np.zeros(self.in_shape)
-        for rep, positions, turns in self._orbits:
-            i0, i1, w0, w1 = self._view_taps(rep)
-            for vi, k in zip(positions, turns):
-                if k not in flats:
-                    flats[k] = np.rot90(img, k).ravel()
-                flat = flats[k]
-                out[vi] = np.bincount(i0, w0 * flat, minlength=self.geom.n_det)
-                out[vi] += np.bincount(i1, w1 * flat, minlength=self.geom.n_det)
-        return out
+        return self._core.image_to_rows(img, transpose=True)
 
 
 class FbpOperator:
@@ -187,8 +142,8 @@ class FbpOperator:
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset | None = None):
         self.geom = geom
-        self.subset = subset if subset is not None else full_subset(geom)
-        self._bp = PixelBackprojector(geom, self.subset)
+        self._bp = PixelBackprojector(geom, subset)
+        self.subset = self._bp.subset
         self.in_shape = self._bp.in_shape
         self.out_shape = geom.grid
         self.scale = math.pi / self.subset.q1
@@ -230,49 +185,38 @@ class ViewUpsampler:
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset):
         self.geom = geom
-        self.subset = subset
-        self.in_shape = (subset.q1, geom.n_det)
-        self.out_shape = (geom.n_views_full, geom.n_det)
+        self.subset = _view_subset(geom, subset)
+        q1, n = subset.q1, geom.n_det
+        self.in_shape = (q1, n)
+        self.out_shape = (geom.n_views_full, n)
         period = geom.angular_range
-        wrap_flips = geom.beam == PARALLEL
         sparse = geom.view_angles_full[subset.indices]
         # Extend one sample beyond each end so every full angle has a bracket.
         ext = np.concatenate(([sparse[-1] - period], sparse, [sparse[0] + period]))
-        src = np.concatenate(([subset.q1 - 1], np.arange(subset.q1), [0]))
-        flip = np.zeros(subset.q1 + 2, dtype=bool)
-        flip[0] = flip[-1] = wrap_flips
+        src = np.concatenate(([q1 - 1], np.arange(q1), [0]))
+        flip = np.zeros(q1 + 2, dtype=bool)
+        flip[0] = flip[-1] = geom.beam == PARALLEL
         full = geom.view_angles_full
         hi = np.searchsorted(ext, full, side="right")
         lo = hi - 1
-        span = ext[hi] - ext[lo]
-        w = (full - ext[lo]) / span
-        self._ia, self._ib = src[lo], src[hi]
-        self._fa, self._fb = flip[lo], flip[hi]
-        self._wa, self._wb = 1.0 - w, w
+        w = (full - ext[lo]) / (ext[hi] - ext[lo])
+        # One flat table into the flattened sparse sinogram, with the wrap
+        # flips folded into its detector indices.
+        det = np.arange(n)
+        i0, i1 = (
+            (src[e][:, None] * n + np.where(flip[e][:, None], det[::-1], det)).ravel()
+            for e in (lo, hi)
+        )
+        self._taps = (i0, i1, np.repeat(1.0 - w, n), np.repeat(w, n))
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != self.in_shape:
-            raise ValueError(f"expected sinogram shape {self.in_shape}")
-        ra = y[self._ia]
-        rb = y[self._ib]
-        ra[self._fa] = ra[self._fa, ::-1]
-        rb[self._fb] = rb[self._fb, ::-1]
-        return self._wa[:, None] * ra + self._wb[:, None] * rb
+        y = _checked(y, self.in_shape, "sinogram")
+        return _gather(y.ravel(), *self._taps).reshape(self.out_shape)
 
     def applyT(self, y_full: np.ndarray) -> np.ndarray:
-        y_full = np.asarray(y_full, dtype=np.float64)
-        if y_full.shape != self.out_shape:
-            raise ValueError(f"expected sinogram shape {self.out_shape}")
-        out = np.zeros(self.in_shape)
-        for idx, flips, ww in (
-            (self._ia, self._fa, self._wa),
-            (self._ib, self._fb, self._wb),
-        ):
-            rows = ww[:, None] * y_full
-            rows[flips] = rows[flips, ::-1]
-            np.add.at(out, idx, rows)
-        return out
+        y_full = _checked(y_full, self.out_shape, "sinogram")
+        rows = _scatter(y_full.ravel(), *self._taps, np.zeros(math.prod(self.in_shape)))
+        return rows.reshape(self.in_shape)
 
 
 def upsample_views(y: Sinogram) -> Sinogram:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from sparsect.fbp import (
     PixelBackprojector,
     RampFilter,
     ViewUpsampler,
+    _pixel_taps,
     fbp,
     ramp_response,
     upsample_views,
@@ -24,6 +27,9 @@ from sparsect.phantoms import shepp_logan
 from sparsect.projector import JosephProjector, forward_project
 
 from conftest import dense_from_op
+
+# the package binds the name `fbp` to the function, so fetch the module itself
+fbp_module = importlib.import_module("sparsect.fbp")
 
 
 class TestRamp:
@@ -87,7 +93,7 @@ def _reference_backprojection(bp, rows):
     """Accumulate each view with taps built at its own angle."""
     acc = np.zeros(bp.out_shape[0] * bp.out_shape[1])
     for vi, view in enumerate(bp.subset.indices):
-        i0, i1, w0, w1 = bp._build_taps(view)
+        [(_, i0, i1, w0, w1)] = _pixel_taps(bp.geom, view)
         r = rows[vi]
         acc += w0 * r[i0] + w1 * r[i1]
     return acc.reshape(bp.out_shape)
@@ -98,7 +104,7 @@ def _reference_backprojection_T(bp, img):
     flat = img.ravel()
     out = np.zeros(bp.in_shape)
     for vi, view in enumerate(bp.subset.indices):
-        i0, i1, w0, w1 = bp._build_taps(view)
+        [(_, i0, i1, w0, w1)] = _pixel_taps(bp.geom, view)
         np.add.at(out[vi], i0, w0 * flat)
         np.add.at(out[vi], i1, w1 * flat)
     return out
@@ -122,13 +128,12 @@ class TestBackprojectorOrbits:
 
     def test_full_view_apply_builds_taps_once_per_orbit(self, small_fan, monkeypatch):
         built = []
-        taps = PixelBackprojector._view_taps
 
-        def counted(self, view):
+        def counted(geom, view):
             built.append(view)
-            return taps(self, view)
+            return _pixel_taps(geom, view)
 
-        monkeypatch.setattr(PixelBackprojector, "_view_taps", counted)
+        monkeypatch.setattr(fbp_module, "_pixel_taps", counted)
         bp = PixelBackprojector(small_fan)
         bp.apply(np.ones(bp.in_shape))
         assert built == [0, 1, 2]
@@ -141,7 +146,7 @@ class TestBackprojectorOrbits:
                              grid=grid, pixel_size=1.0, src_dist=25.0,
                              det_dist=25.0)
         bp = PixelBackprojector(geom)
-        assert len(bp._orbits) == n_views
+        assert len(bp._core.orbits) == n_views
         rows = np.random.default_rng(10).standard_normal(bp.in_shape)
         assert np.array_equal(bp.apply(rows), _reference_backprojection(bp, rows))
 
@@ -153,20 +158,19 @@ class TestBackprojectorTapCache:
     ):
         geom = small_fan if beam == "fan" else small_parallel
         built = []
-        build = PixelBackprojector._build_taps
 
-        def counted(self, view):
+        def counted(geom, view):
             built.append(view)
-            return build(self, view)
+            return _pixel_taps(geom, view)
 
-        monkeypatch.setattr(PixelBackprojector, "_build_taps", counted)
+        monkeypatch.setattr(fbp_module, "_pixel_taps", counted)
         bp = PixelBackprojector(geom, sparse_subset(geom, 6))
-        assert bp._cache is not None
+        assert bp._core.cache is not None
         rng = np.random.default_rng(12)
         rows = rng.standard_normal(bp.in_shape)
         img = rng.standard_normal(geom.grid)
         first = bp.apply(rows), bp.applyT(img)
-        assert sorted(built) == sorted(rep for rep, _, _ in bp._orbits)
+        assert sorted(built) == sorted(rep for rep, _, _ in bp._core.orbits)
         n_built = len(built)
         second = bp.apply(rows), bp.applyT(img)
         assert len(built) == n_built
@@ -179,7 +183,7 @@ class TestBackprojectorTapCache:
                              det_dist=125.0)
         bp = PixelBackprojector(geom)
         bp.apply(np.ones(bp.in_shape))
-        assert bp._cache is None
+        assert bp._core.cache is None
 
 
 class TestFbpOperator:
@@ -228,6 +232,41 @@ def forward_project_image(geom, arr):
     return forward_project(ImageOf(geom, arr), full_subset(geom))
 
 
+def _reference_upsampler(geom, subset):
+    """Taps of the row-gather view upsampler: source rows, flips, weights."""
+    period = geom.angular_range
+    sparse = geom.view_angles_full[subset.indices]
+    ext = np.concatenate(([sparse[-1] - period], sparse, [sparse[0] + period]))
+    src = np.concatenate(([subset.q1 - 1], np.arange(subset.q1), [0]))
+    flip = np.zeros(subset.q1 + 2, dtype=bool)
+    flip[0] = flip[-1] = geom.beam == "parallel"
+    full = geom.view_angles_full
+    hi = np.searchsorted(ext, full, side="right")
+    lo = hi - 1
+    w = (full - ext[lo]) / (ext[hi] - ext[lo])
+    return ((src[lo], flip[lo], 1.0 - w), (src[hi], flip[hi], w))
+
+
+def _reference_upsample(geom, subset, y):
+    """Gather whole rows, then reverse the flipped ones on every call."""
+    (ia, fa, wa), (ib, fb, wb) = _reference_upsampler(geom, subset)
+    ra = y[ia]
+    rb = y[ib]
+    ra[fa] = ra[fa, ::-1]
+    rb[fb] = rb[fb, ::-1]
+    return wa[:, None] * ra + wb[:, None] * rb
+
+
+def _reference_upsample_T(geom, subset, y_full):
+    """Scatter whole rows by np.add.at."""
+    out = np.zeros((subset.q1, geom.n_det))
+    for idx, flips, ww in _reference_upsampler(geom, subset):
+        rows = ww[:, None] * y_full
+        rows[flips] = rows[flips, ::-1]
+        np.add.at(out, idx, rows)
+    return out
+
+
 class TestViewUpsampler:
     @pytest.mark.parametrize("beam", ["parallel", "fan"])
     def test_exact_on_subset_rows(self, beam, small_parallel, small_fan):
@@ -237,6 +276,19 @@ class TestViewUpsampler:
         y = np.random.default_rng(4).standard_normal((5, geom.n_det))
         full = up.apply(y)
         assert np.array_equal(full[sub.indices], y)
+
+    @pytest.mark.parametrize("beam", ["fan", "parallel"])
+    @pytest.mark.parametrize("q", [2, 5, 12])
+    def test_matches_row_gather_reference(self, beam, q, small_fan, small_parallel):
+        geom = small_fan if beam == "fan" else small_parallel
+        sub = sparse_subset(geom, q)
+        up = ViewUpsampler(geom, sub)
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal(up.in_shape)
+        y_full = rng.standard_normal(up.out_shape)
+        assert np.array_equal(up.apply(y), _reference_upsample(geom, sub, y))
+        ref_T = _reference_upsample_T(geom, sub, y_full)
+        assert _rel(up.applyT(y_full), ref_T) <= 1e-12
 
     def test_full_subset_is_identity(self, small_fan):
         up = ViewUpsampler(small_fan, full_subset(small_fan))

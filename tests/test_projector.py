@@ -13,6 +13,7 @@ from sparsect import projector
 from sparsect.projector import (
     JosephProjector,
     _joseph_tables,
+    _view_rays,
     back_project,
     dense_matrix_oracle,
     forward_project,
@@ -173,7 +174,7 @@ def _reference_rows(proj, x):
     flat = x.ravel()
     out = np.zeros(proj.out_shape)
     for vi, view in enumerate(proj.subset.indices):
-        rays = proj._view_rays(float(geom.view_angles_full[view]))
+        rays = _view_rays(geom, float(geom.view_angles_full[view]))
         for ray_sel, lin0, lin1, w0, w1 in _joseph_tables(
             *rays, *geom.grid, geom.pixel_size
         ):
@@ -187,7 +188,7 @@ def _reference_transpose(proj, y):
     geom = proj.geom
     out = np.zeros(geom.grid[0] * geom.grid[1])
     for vi, view in enumerate(proj.subset.indices):
-        rays = proj._view_rays(float(geom.view_angles_full[view]))
+        rays = _view_rays(geom, float(geom.view_angles_full[view]))
         for ray_sel, lin0, lin1, w0, w1 in _joseph_tables(
             *rays, *geom.grid, geom.pixel_size
         ):
@@ -210,7 +211,7 @@ class TestQuarterTurnOrbits:
         geom = small_fan if beam == "fan" else small_parallel
         proj = JosephProjector(geom, sparse_subset(geom, q))
         if q == 12:
-            assert len(proj._orbits) == n_orbits
+            assert len(proj._core.orbits) == n_orbits
         rng = np.random.default_rng(7)
         x = rng.standard_normal(proj.in_shape)
         y = rng.standard_normal(proj.out_shape)
@@ -240,8 +241,8 @@ class TestQuarterTurnOrbits:
                              grid=grid, pixel_size=1.0, src_dist=25.0,
                              det_dist=25.0)
         proj = JosephProjector(geom)
-        assert [rep for rep, _, _ in proj._orbits] == list(range(n_views))
-        assert all(t == [0] for _, _, t in proj._orbits)
+        assert [rep for rep, _, _ in proj._core.orbits] == list(range(n_views))
+        assert all(t == [0] for _, _, t in proj._core.orbits)
         x = np.random.default_rng(8).standard_normal(grid)
         assert np.array_equal(proj.apply(x), _reference_rows(proj, x))
 
