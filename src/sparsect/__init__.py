@@ -16,7 +16,7 @@ from .geometry import (
     sparse_subset,
 )
 from .projector import JosephProjector, back_project, forward_project
-from .fbp import FbpOperator, ViewUpsampler, fbp, upsample_views
+from .fbp import FbpOperator, ViewUpsampler, upsample_views
 from .phantoms import EllipseCloudSpec, disk, phantom_batch, random_ellipses, shepp_logan
 from .correction import CorrectionConfig, init_params, param_count
 from .refine import CHANNEL_ORDER, VARIANTS, OperatorBundle, stack_width, variant_groups
@@ -78,7 +78,6 @@ __all__ = [
     "back_project",
     "build_model",
     "disk",
-    "fbp",
     "finetune_unsupervised",
     "fista_tv",
     "forward_project",

@@ -143,7 +143,15 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; a malformed or cut-short file raises CheckpointError."""
     buf = Path(path).read_bytes()
+    try:
+        return _decode(buf, path)
+    except (struct.error, ValueError) as e:  # ValueError covers UnicodeDecodeError
+        raise CheckpointError(f"{path}: malformed checkpoint: {e}") from e
+
+
+def _decode(buf: bytes, path: str | Path) -> Checkpoint:
     if buf[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {buf[:4]!r}")
     (version,) = struct.unpack_from("<I", buf, 4)

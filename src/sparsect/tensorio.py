@@ -69,7 +69,15 @@ def save_tensor(path: str | Path, arr: np.ndarray):
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
+    """Read a tensor file; a malformed or cut-short file raises TensorFormatError."""
     raw = Path(path).read_bytes()
+    try:
+        return _decode(raw, path)
+    except (struct.error, ValueError) as e:
+        raise TensorFormatError(f"{path}: malformed tensor file: {e}") from e
+
+
+def _decode(raw: bytes, path: str | Path) -> np.ndarray:
     if raw[:4] != MAGIC:
         raise TensorFormatError(f"{path}: bad magic {raw[:4]!r}")
     version, rank = struct.unpack_from("<II", raw, 4)

@@ -9,7 +9,10 @@ uninterrupted run bit for bit.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -62,20 +65,60 @@ class TrainResult:
 LOG_HEADER = "step\tview_count\tloss\tl1\tssim_term"
 
 
-def _log_row(row: tuple[int, int, float, float, float]) -> str:
-    step, q, loss, l1, st = row
-    return f"{step}\t{q}\t{loss:.10e}\t{l1:.10e}\t{st:.10e}"
+def _open_log(log_path: str | Path | None, start: int):
+    """Open the TSV log of a run that starts at step `start`.
+
+    A resumed run keeps the header and the complete rows before `start`. It
+    drops the rows logged after its checkpoint and then writes them again.
+    """
+    if log_path is None:
+        return nullcontext()
+    path = Path(log_path)
+    lines = path.read_bytes().splitlines(keepends=True) if start and path.exists() else []
+    rows = takewhile(
+        lambda ln: ln.endswith(b"\n") and int(ln.split(b"\t", 1)[0]) < start, lines[1:]
+    )
+    kept = sum(map(len, [*lines[:1], *rows]))
+    if kept:
+        os.truncate(path, kept)
+    else:
+        path.write_text(LOG_HEADER + "\n")
+    return open(path, "a")
 
 
-def _collect_grads(model: ReconNet, pnode_sets) -> dict[str, np.ndarray]:
-    grads = {}
-    for i, pn in enumerate(pnode_sets):
-        for name, node in pn.items():
-            g = node.grad
-            if g is None:
-                g = np.zeros_like(node.value)
-            grads[f"p{i}.{name}"] = g
-    return grads
+def _collect_grads(pnode_sets) -> dict[str, np.ndarray]:
+    return {
+        f"p{i}.{name}": np.zeros_like(node.value) if node.grad is None else node.grad
+        for i, pn in enumerate(pnode_sets)
+        for name, node in pn.items()
+    }
+
+
+def _run_steps(
+    model: ReconNet, optimizer: Adam, steps: range, draw, log_path, after_row=lambda step: None
+) -> TrainResult:
+    """One optimizer step per entry of `steps`, each logged as one row.
+
+    `draw()` returns the step's sinogram and a loss function of the network
+    output and stage context; `after_row(step)` runs after the row is logged.
+    """
+    result = TrainResult()
+    with _open_log(log_path, steps.start) as log_f:
+        for step in steps:
+            y, loss_fn = draw()
+            tape = ad.Tape()
+            out, pnode_sets, ctx = model.forward_graph(y, tape)
+            loss, l1, ssim_term = loss_fn(out, ctx)
+            if not np.isfinite(loss.value):
+                raise TrainingDivergedError(f"non-finite loss at step {step}")
+            ad.backward(loss)
+            optimizer.step(_collect_grads(pnode_sets))
+            row = (step, y.subset.q1, float(loss.value), float(l1.value), float(ssim_term.value))
+            result.rows.append(row)
+            if log_f is not None:
+                print(*row[:2], *(f"{v:.10e}" for v in row[2:]), sep="\t", file=log_f, flush=True)
+            after_row(step)
+    return result
 
 
 def _draw_sample(rng, images, cfg: TrainConfig):
@@ -102,7 +145,7 @@ def train_loop(
 
     `resume_from` restores weights, optimizer moments, and the RNG stream
     from a checkpoint written by this loop and continues at the step after
-    the one it was saved on.
+    the one it was saved on; the log is rewound to that step.
     """
     if not images:
         raise ValueError("need at least one training image")
@@ -120,44 +163,19 @@ def train_loop(
         restore_model(model, ckpt)
         restore_optimizer(optimizer, ckpt)
         restore_rng(rng, ckpt)
-    start = optimizer.t
 
-    log_f = None
-    if log_path is not None:
-        fresh = start == 0 or not Path(log_path).exists()
-        log_f = open(log_path, "w" if fresh else "a")
-        if fresh:
-            print(LOG_HEADER, file=log_f)
+    def draw():
+        x_true, q = _draw_sample(rng, images, cfg)
+        bundle = model.register_views(q)
+        y = Sinogram(bundle.proj_s.apply(x_true), model.geom, bundle.subset)
+        return y, lambda out, ctx: total_loss(out, out.tape.constant(x_true), loss_cfg)
 
-    result = TrainResult()
-    try:
-        for step in range(start, cfg.steps):
-            x_true, q = _draw_sample(rng, images, cfg)
-            bundle = model.register_views(q)
-            y = Sinogram(bundle.proj_s.apply(x_true), model.geom, bundle.subset)
+    def checkpoint(step: int):
+        due = cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0
+        if checkpoint_path is not None and (due or step == cfg.steps - 1):
+            save_checkpoint(checkpoint_path, model, cfg.gamma, optimizer, rng)
 
-            tape = ad.Tape()
-            out, pnode_sets, _ = model.forward_graph(y, tape)
-            target = tape.constant(x_true)
-            loss, l1, ssim_term = total_loss(out, target, loss_cfg)
-            if not np.isfinite(loss.value):
-                raise TrainingDivergedError(f"non-finite loss at step {step}")
-            ad.backward(loss)
-            optimizer.step(_collect_grads(model, pnode_sets))
-
-            row = (step, q, float(loss.value), float(l1.value), float(ssim_term.value))
-            result.rows.append(row)
-            if log_f is not None:
-                print(_log_row(row), file=log_f, flush=True)
-            if checkpoint_path is not None:
-                last = step == cfg.steps - 1
-                due = cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0
-                if last or due:
-                    save_checkpoint(checkpoint_path, model, cfg.gamma, optimizer, rng)
-    finally:
-        if log_f is not None:
-            log_f.close()
-    return result
+    return _run_steps(model, optimizer, range(optimizer.t, cfg.steps), draw, log_path, checkpoint)
 
 
 def finetune_unsupervised(
@@ -174,24 +192,5 @@ def finetune_unsupervised(
     """
     loss_cfg = LossConfig(gamma=gamma)
     optimizer = Adam(model.named_parameters(), AdamConfig(lr=lr))
-    result = TrainResult()
-    log_f = open(log_path, "w") if log_path is not None else None
-    if log_f is not None:
-        print(LOG_HEADER, file=log_f)
-    try:
-        for step in range(steps):
-            tape = ad.Tape()
-            out, pnode_sets, ctx = model.forward_graph(y, tape)
-            loss, l1, ssim_term = unsupervised_loss(out, ctx, loss_cfg)
-            if not np.isfinite(loss.value):
-                raise TrainingDivergedError(f"non-finite loss at step {step}")
-            ad.backward(loss)
-            optimizer.step(_collect_grads(model, pnode_sets))
-            row = (step, y.subset.q1, float(loss.value), float(l1.value), float(ssim_term.value))
-            result.rows.append(row)
-            if log_f is not None:
-                print(_log_row(row), file=log_f, flush=True)
-    finally:
-        if log_f is not None:
-            log_f.close()
-    return result
+    loss_fn = lambda out, ctx: unsupervised_loss(out, ctx, loss_cfg)
+    return _run_steps(model, optimizer, range(steps), lambda: (y, loss_fn), log_path)

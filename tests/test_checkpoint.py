@@ -175,7 +175,31 @@ class TestValidation:
         save_checkpoint(path, m)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
-        with pytest.raises((CheckpointError, struct.error, ValueError)):
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_cut_at_every_byte_offset_rejected(self, tiny_fan, tmp_path):
+        # Every section: header, parameters, optimizer moments and rng state.
+        m = tiny_model(tiny_fan, width=1, depth=0, n_stages=1, variant="a")
+        opt = Adam(m.named_parameters())
+        opt.step({k: np.ones(v.shape) for k, v in m.named_parameters().items()})
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m, optimizer=opt, rng=np.random.default_rng(0))
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_non_utf8_parameter_name_rejected(self, tiny_fan, tmp_path):
+        m = tiny_model(tiny_fan)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m)
+        raw = bytearray(path.read_bytes())
+        # first name byte: 49-byte header, u32 entry count, u32 name length
+        raw[49 + 4 + 4] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tiny_fan, tmp_path):

@@ -7,8 +7,10 @@ stdout, and stderr stay observable without spawning interpreters.
 import numpy as np
 import pytest
 
-from sparsect.checkpoint import load_checkpoint
+from sparsect.checkpoint import load_checkpoint, save_checkpoint
 from sparsect.cli import main
+from sparsect.geometry import geometry_from_config
+from sparsect.model import ReconNet
 from sparsect.tensorio import load_tensor, save_tensor
 
 GEOM_CFG = """\
@@ -106,6 +108,32 @@ def test_typed_errors_exit_2(tmp_path, geom_file, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("size", [10, 30, 60, 200])
+def test_truncated_checkpoint_exits_2(tmp_path, geom_file, capsys, size):
+    ck = tmp_path / "model.ckpt"
+    model = ReconNet(geometry_from_config(geom_file), width=2, depth=1, n_stages=1, variant="a")
+    save_checkpoint(ck, model)
+    ck.write_bytes(ck.read_bytes()[:size])
+    sino = str(tmp_path / "y.tgrd")
+    save_tensor(sino, np.zeros((6, 23)))
+    rc = main(["reconstruct", "--geometry", geom_file, "--views", "6",
+               "--checkpoint", str(ck), sino, "--out", str(tmp_path / "rec.tgrd")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "malformed checkpoint" in err
+
+
+def test_truncated_tensor_exits_2(tmp_path, geom_file, capsys):
+    sino = tmp_path / "y.tgrd"
+    save_tensor(sino, np.zeros((12, 23)))
+    sino.write_bytes(sino.read_bytes()[:14])  # cut inside the dims
+    rc = main(["fbp", "--geometry", geom_file, "--views", "12",
+               str(sino), "--out", str(tmp_path / "o.tgrd")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "malformed tensor file" in err
 
 
 def test_project_shape_mismatch_exits_2(tmp_path, geom_file, capsys):

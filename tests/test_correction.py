@@ -16,7 +16,11 @@ from sparsect.correction import (
 
 from conftest import numeric_grad
 
-RNG = np.random.default_rng(7)
+
+@pytest.fixture
+def rng():
+    """A fresh generator per test: no test's data depends on which tests ran first."""
+    return np.random.default_rng(7)
 
 
 def forward_scalar(params, cfg, stack):
@@ -104,31 +108,32 @@ class TestForward:
     @given(h=st.integers(5, 16), w=st.integers(5, 16))
     @settings(max_examples=20, deadline=None)
     def test_output_shape_matches_input_any_parity(self, h, w):
+        rng = np.random.default_rng(7)
         cfg = CorrectionConfig(width=2, depth=2, c_in=3)
         params = init_params(cfg, seed=1)
         tape = Tape()
         out = apply_correction(
-            tape.leaf(RNG.standard_normal((3, h, w))), wrap_params(tape, params), cfg
+            tape.leaf(rng.standard_normal((3, h, w))), wrap_params(tape, params), cfg
         )
         assert out.value.shape == (h, w)
         assert np.isfinite(out.value).all()
 
-    def test_depth_zero_still_runs(self):
+    def test_depth_zero_still_runs(self, rng):
         cfg = CorrectionConfig(width=3, depth=0, c_in=2)
         params = init_params(cfg, seed=5)
         assert actual_param_count(params) == param_count(3, 0, 2)
         tape = Tape()
         out = apply_correction(
-            tape.leaf(RNG.standard_normal((2, 7, 9))), wrap_params(tape, params), cfg
+            tape.leaf(rng.standard_normal((2, 7, 9))), wrap_params(tape, params), cfg
         )
         assert out.value.shape == (7, 9)
 
 
 class TestGradients:
-    def test_all_parameter_gradients_match_finite_differences(self):
+    def test_all_parameter_gradients_match_finite_differences(self, rng):
         cfg = CorrectionConfig(width=2, depth=1, c_in=2)
         params = init_params(cfg, seed=9)
-        stack = RNG.standard_normal((2, 6, 7)) * 0.5
+        stack = rng.standard_normal((2, 6, 7)) * 0.5
 
         tape = Tape()
         pnodes = wrap_params(tape, params)
@@ -147,10 +152,10 @@ class TestGradients:
             scale = max(np.abs(fd).max(), 1.0)
             assert np.abs(got - fd).max() < 1e-5 * scale, name
 
-    def test_input_gradient_matches_finite_differences(self):
+    def test_input_gradient_matches_finite_differences(self, rng):
         cfg = CorrectionConfig(width=2, depth=1, c_in=2)
         params = init_params(cfg, seed=9)
-        stack = RNG.standard_normal((2, 6, 7)) * 0.5
+        stack = rng.standard_normal((2, 6, 7)) * 0.5
 
         tape = Tape()
         leaf = tape.leaf(stack)
@@ -163,11 +168,11 @@ class TestGradients:
         scale = max(np.abs(fd).max(), 1.0)
         assert np.abs(leaf.grad - fd).max() < 1e-5 * scale
 
-    def test_odd_shape_pad_crop_path_gradients(self):
+    def test_odd_shape_pad_crop_path_gradients(self, rng):
         # odd spatial dims exercise replicate-pad + crop inside the recursion
         cfg = CorrectionConfig(width=2, depth=2, c_in=1)
         params = init_params(cfg, seed=2)
-        stack = RNG.standard_normal((1, 5, 7)) * 0.5
+        stack = rng.standard_normal((1, 5, 7)) * 0.5
 
         tape = Tape()
         leaf = tape.leaf(stack)

@@ -1,10 +1,11 @@
-import importlib
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsect import fbp as fbp_module
 from sparsect.fbp import (
     FbpOperator,
     PixelBackprojector,
@@ -28,8 +29,10 @@ from sparsect.projector import JosephProjector, forward_project
 
 from conftest import dense_from_op
 
-# the package binds the name `fbp` to the function, so fetch the module itself
-fbp_module = importlib.import_module("sparsect.fbp")
+
+def test_package_attribute_is_the_submodule():
+    assert isinstance(fbp_module, types.ModuleType)
+    assert fbp_module.fbp is fbp
 
 
 class TestRamp:

@@ -21,11 +21,15 @@ from sparsect.refine import build_bundle, build_context
 
 from conftest import numeric_grad
 
-RNG = np.random.default_rng(23)
+
+@pytest.fixture
+def rng():
+    """A fresh generator per test: no test's data depends on which tests ran first."""
+    return np.random.default_rng(23)
 
 
-def pair(shape=(8, 9)):
-    return RNG.random(shape), RNG.random(shape)
+def pair(rng, shape=(8, 9)):
+    return rng.random(shape), rng.random(shape)
 
 
 class TestWindow:
@@ -42,10 +46,10 @@ class TestWindow:
         assert effective_win_size(11, (11, 11)) == 11
         assert effective_win_size(11, (4, 4)) == 3
 
-    def test_window_op_transpose_is_adjoint(self):
+    def test_window_op_transpose_is_adjoint(self, rng):
         op = GaussianWindowOp((9, 10), 5, 1.5)
-        x = RNG.standard_normal((9, 10))
-        y = RNG.standard_normal(op.out_shape)
+        x = rng.standard_normal((9, 10))
+        y = rng.standard_normal(op.out_shape)
         lhs = float((op.apply(x) * y).sum())
         rhs = float((x * op.applyT(y)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-13)
@@ -62,9 +66,9 @@ class TestL1:
         y = t.constant(np.array([[1.5, 2.0], [2.0, 6.0]]))
         assert l1_loss(x, y).value == pytest.approx((0.5 + 0.0 + 1.0 + 2.0) / 4)
 
-    def test_identical_inputs_give_exact_zero_and_zero_grad(self):
+    def test_identical_inputs_give_exact_zero_and_zero_grad(self, rng):
         t = Tape()
-        a = RNG.random((6, 6))
+        a = rng.random((6, 6))
         x = t.leaf(a)
         loss = l1_loss(x, t.constant(a.copy()))
         assert float(loss.value) == 0.0
@@ -73,9 +77,9 @@ class TestL1:
 
 
 class TestSsimGraph:
-    def test_self_similarity_is_exactly_one(self):
+    def test_self_similarity_is_exactly_one(self, rng):
         for shape in ((16, 16), (8, 13), (32, 7)):
-            a = RNG.random(shape)
+            a = rng.random(shape)
             t = Tape()
             s = ssim_graph(t.leaf(a), t.constant(a.copy()))
             assert float(s.value) == 1.0
@@ -90,13 +94,13 @@ class TestSsimGraph:
         expected = (2 * a * b + c1) / (a * a + b * b + c1)
         assert float(s.value) == pytest.approx(expected, rel=1e-10)
 
-    def test_distinct_images_score_below_one(self):
-        x, y = pair((16, 16))
+    def test_distinct_images_score_below_one(self, rng):
+        x, y = pair(rng, (16, 16))
         t = Tape()
         assert float(ssim_graph(t.leaf(x), t.constant(y)).value) < 1.0
 
-    def test_gradient_matches_finite_differences(self):
-        x, y = pair()
+    def test_gradient_matches_finite_differences(self, rng):
+        x, y = pair(rng)
 
         def f(arr):
             t = Tape()
@@ -110,16 +114,16 @@ class TestSsimGraph:
 
 
 class TestTotalLoss:
-    def test_identical_inputs_all_terms_exactly_zero(self):
-        a = RNG.random((12, 12))
+    def test_identical_inputs_all_terms_exactly_zero(self, rng):
+        a = rng.random((12, 12))
         t = Tape()
         tot, l1, ssim_term = total_loss(t.leaf(a), t.constant(a.copy()))
         assert float(tot.value) == 0.0
         assert float(l1.value) == 0.0
         assert float(ssim_term.value) == 0.0
 
-    def test_gamma_scales_structural_term_only(self):
-        x, y = pair((12, 12))
+    def test_gamma_scales_structural_term_only(self, rng):
+        x, y = pair(rng, (12, 12))
         t1 = Tape()
         tot1, l1a, s1 = total_loss(t1.leaf(x), t1.constant(y), LossConfig(gamma=1.0))
         t2 = Tape()
@@ -130,8 +134,8 @@ class TestTotalLoss:
             float(l1a.value) + 2 * float(s1.value), rel=1e-13
         )
 
-    def test_backward_reaches_input(self):
-        x, y = pair((12, 12))
+    def test_backward_reaches_input(self, rng):
+        x, y = pair(rng, (12, 12))
         t = Tape()
         leaf = t.leaf(x)
         tot, _, _ = total_loss(leaf, t.constant(y))
@@ -145,7 +149,8 @@ class TestTotalLoss:
     )
     @settings(max_examples=20, deadline=None)
     def test_nonnegative_for_any_pair(self, x):
-        y = RNG.random((8, 8))
+        rng = np.random.default_rng(23)
+        y = rng.random((8, 8))
         t = Tape()
         tot, _, _ = total_loss(t.leaf(x), t.constant(y))
         # SSIM <= 1 on real inputs, so both terms are nonnegative
@@ -153,10 +158,10 @@ class TestTotalLoss:
 
 
 class TestUnsupervised:
-    def test_consistent_reconstruction_scores_exact_zero(self, tiny_fan):
+    def test_consistent_reconstruction_scores_exact_zero(self, rng, tiny_fan):
         subset = sparse_subset(tiny_fan, 5)
         bundle = build_bundle(tiny_fan, subset)
-        x_true = RNG.random(tiny_fan.grid)
+        x_true = rng.random(tiny_fan.grid)
         y = Sinogram(bundle.proj_s.apply(x_true), tiny_fan, subset)
         ctx = build_context(y, bundle)
 
@@ -167,15 +172,15 @@ class TestUnsupervised:
         assert float(s.value) == 0.0
 
     def test_inconsistent_reconstruction_scores_positive_with_gradient(
-        self, tiny_fan
+        self, rng, tiny_fan
     ):
         subset = sparse_subset(tiny_fan, 5)
         bundle = build_bundle(tiny_fan, subset)
-        y = Sinogram(bundle.proj_s.apply(RNG.random(tiny_fan.grid)), tiny_fan, subset)
+        y = Sinogram(bundle.proj_s.apply(rng.random(tiny_fan.grid)), tiny_fan, subset)
         ctx = build_context(y, bundle)
 
         t = Tape()
-        leaf = t.leaf(RNG.random(tiny_fan.grid))
+        leaf = t.leaf(rng.random(tiny_fan.grid))
         tot, _, _ = unsupervised_loss(leaf, ctx)
         assert float(tot.value) > 0.0
         ad.backward(tot)

@@ -127,6 +127,14 @@ class TestTensorCorruption:
         with pytest.raises(TensorFormatError):
             load_tensor(p)
 
+    def test_cut_at_every_byte_offset_rejected(self, tmp_path):
+        p = self.write_good(tmp_path)
+        raw = p.read_bytes()
+        for n in range(len(raw)):
+            p.write_bytes(raw[:n])
+            with pytest.raises(TensorFormatError):
+                load_tensor(p)
+
 
 class TestManifest:
     def test_write_then_load_resolves_relative_paths(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from sparsect.geometry import Sinogram, sparse_subset
 from sparsect.model import ReconNet
+from sparsect.optim import Adam
 from sparsect.phantoms import random_ellipses
 from sparsect.projector import JosephProjector
 from sparsect.training import (
@@ -137,6 +138,48 @@ class TestResume:
         lines = log.read_text().splitlines()
         assert len(lines) == 5  # header + 4 rows
         assert [ln.split("\t")[0] for ln in lines[1:]] == ["0", "1", "2", "3"]
+
+    def test_crash_between_row_and_checkpoint_leaves_uninterrupted_log(
+        self, tiny_fan, tmp_path, monkeypatch
+    ):
+        images = tiny_images(tiny_fan)
+        run = cfg(steps=5, checkpoint_every=2)
+        full = tmp_path / "full.tsv"
+        train_loop(tiny_model(tiny_fan, seed=5), images, run, log_path=full)
+
+        # Crash inside step 3: rows 0-2 are logged, the checkpoint is of step 1.
+        ck, log = tmp_path / "c.ckpt", tmp_path / "t.tsv"
+        step = Adam.step
+
+        def step_or_crash(self, grads):
+            if self.t == 3:
+                raise RuntimeError("crash")
+            step(self, grads)
+
+        monkeypatch.setattr(Adam, "step", step_or_crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            train_loop(tiny_model(tiny_fan, seed=5), images, run,
+                       log_path=log, checkpoint_path=ck)
+        monkeypatch.undo()
+        assert [ln.split("\t")[0] for ln in log.read_text().splitlines()[1:]] == ["0", "1", "2"]
+
+        res = train_loop(tiny_model(tiny_fan, seed=999), images, run,
+                         log_path=log, checkpoint_path=ck, resume_from=ck)
+        assert [row[0] for row in res.rows] == [2, 3, 4]
+        assert log.read_bytes() == full.read_bytes()
+
+    def test_resume_drops_a_partial_last_row(self, tiny_fan, tmp_path):
+        images = tiny_images(tiny_fan)
+        full = tmp_path / "full.tsv"
+        train_loop(tiny_model(tiny_fan, seed=5), images, cfg(steps=3), log_path=full)
+        ck, log = tmp_path / "c.ckpt", tmp_path / "t.tsv"
+        train_loop(tiny_model(tiny_fan, seed=5), images, cfg(steps=1),
+                   log_path=log, checkpoint_path=ck)
+        with open(log, "a") as f:
+            f.write("1\t5\t1.2")  # a row cut short by a crash
+        train_loop(tiny_model(tiny_fan, seed=5), images, cfg(steps=3),
+                   log_path=log, resume_from=ck)
+        assert log.read_bytes() == full.read_bytes()
 
     def test_periodic_checkpointing_writes_midrun_state(self, tiny_fan, tmp_path):
         images = tiny_images(tiny_fan)
