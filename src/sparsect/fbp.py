@@ -8,8 +8,9 @@ above twice the detector count; no apodization window is applied.
 The backprojector and the view upsampler run on the projector's two-tap
 core (`projector._gather`, `projector._scatter`). The backprojector supplies
 only its per-view detector taps (`_pixel_taps`); `projector._OrbitCore`
-builds them once per quarter-turn orbit of views, keeps them under its byte
-limit, and runs the orbit loops over np.rot90 copies of the image. The
+builds them once per quarter-turn orbit of views, keeps them in the
+process-wide table store when they are admitted, and runs the orbit loops
+over np.rot90 copies of the image. The
 upsampler supplies one flat table over the full view set, with the parallel
 beam's wrap-around detector flips folded into its indices.
 """
@@ -201,10 +202,12 @@ class ViewUpsampler:
         lo = hi - 1
         w = (full - ext[lo]) / (ext[hi] - ext[lo])
         # One flat table into the flattened sparse sinogram, with the wrap
-        # flips folded into its detector indices.
+        # flips folded into its detector indices, stored as int32 (the
+        # sparse sinogram has far fewer than 2**31 cells).
         det = np.arange(n)
         i0, i1 = (
-            (src[e][:, None] * n + np.where(flip[e][:, None], det[::-1], det)).ravel()
+            (src[e][:, None] * n + np.where(flip[e][:, None], det[::-1], det))
+            .ravel().astype(np.int32)
             for e in (lo, hi)
         )
         self._taps = (i0, i1, np.repeat(1.0 - w, n), np.repeat(w, n))

@@ -16,7 +16,7 @@ import numpy as np
 from .fbp import FbpOperator
 from .geometry import Image, Sinogram
 from .metrics import psnr
-from .projector import JosephProjector
+from .projector import _STORE, JosephProjector
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,9 @@ def fista_tv(y: Sinogram, lam: float, cfg: FistaConfig = FistaConfig()) -> Fista
 
     A is linear and z is a fixed combination of x, x_prev and cand, so A z is
     formed from the carried projections A x, A x_prev and A cand instead of
-    projecting z again.
+    projecting z again. The Lipschitz estimate is kept in the process-wide
+    table store, so solves on one (geometry, subset) run the power
+    iteration once, and their projector and FBP tables are shared there too.
     """
     if lam <= 0:
         raise ValueError("TV weight must be positive")
@@ -122,8 +124,6 @@ def fista_tv(y: Sinogram, lam: float, cfg: FistaConfig = FistaConfig()) -> Fista
         r = ax - data
         return 0.5 * float((r * r).sum()) + lam * tv_value(x)
 
-    # The one-shot FBP runs (and frees its backprojector taps) before the
-    # power iteration builds the projector tables, so the two never coexist.
     if cfg.fbp_init:
         x = FbpOperator(y.geom, y.subset).apply(data)
         if cfg.nonneg:
@@ -131,7 +131,11 @@ def fista_tv(y: Sinogram, lam: float, cfg: FistaConfig = FistaConfig()) -> Fista
     else:
         x = np.zeros(proj.in_shape)
 
-    lip = estimate_lipschitz(proj, cfg.power_iters)
+    # The power iteration is seeded, so a stored estimate equals a fresh one.
+    lip = _STORE.get(
+        ("lipschitz", y.geom.fingerprint, y.subset.indices.tobytes(), cfg.power_iters),
+        lambda: estimate_lipschitz(proj, cfg.power_iters),
+    )
     step = 1.0 / lip
 
     ax = proj.apply(x)

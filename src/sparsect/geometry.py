@@ -6,8 +6,10 @@ indexed [row, col]; sinograms are (n_views, n_det) with one row per view.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,24 @@ class ScanGeometry:
                 f"{self.fov_radius:.2f} mm but the image support needs "
                 f"{self.support_radius:.2f} mm"
             )
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Digest of every field, computed once per instance.
+
+        Equal geometries have equal fingerprints, so operators built on
+        either share their tables (`projector._STORE`), and a sinogram fits
+        a model whose geometry has its fingerprint.
+        """
+        h = hashlib.blake2b(digest_size=16)
+        h.update(repr((
+            self.beam, int(self.n_views_full), int(self.n_det),
+            float(self.det_spacing), tuple(map(int, self.grid)),
+            float(self.pixel_size),
+            *(None if d is None else float(d) for d in (self.src_dist, self.det_dist)),
+        )).encode())
+        h.update(self.view_angles_full.tobytes())
+        return h.hexdigest()
 
     @property
     def angular_range(self) -> float:

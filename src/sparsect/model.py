@@ -9,7 +9,7 @@ it never saw during training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +20,14 @@ from .correction import (
     init_params,
     wrap_params,
 )
-from .fbp import FbpOperator
 from .geometry import (
     GeometryError,
     Image,
     ScanGeometry,
     Sinogram,
     ViewSubset,
-    full_subset,
     sparse_subset,
 )
-from .projector import JosephProjector
 from .refine import (
     OperatorBundle,
     StageContext,
@@ -40,20 +37,6 @@ from .refine import (
     stack_width,
     variant_groups,
 )
-
-
-def geometries_compatible(a: ScanGeometry, b: ScanGeometry) -> bool:
-    return (
-        a.beam == b.beam
-        and a.n_views_full == b.n_views_full
-        and a.n_det == b.n_det
-        and a.grid == b.grid
-        and a.det_spacing == b.det_spacing
-        and a.pixel_size == b.pixel_size
-        and a.src_dist == b.src_dist
-        and a.det_dist == b.det_dist
-        and np.array_equal(a.view_angles_full, b.view_angles_full)
-    )
 
 
 @dataclass(eq=False)
@@ -93,8 +76,6 @@ class ReconNet:
         n_sets = 1 if share_stage_params else n_stages
         self.param_sets = [init_params(self.cfg, seed + i) for i in range(n_sets)]
         self.zero_init_image = zero_init_image
-        fs = full_subset(geom)
-        self._full_ops = (JosephProjector(geom, fs), FbpOperator(geom, fs))
         self._bundles: dict[int, OperatorBundle] = {}
 
     # -- parameters ----------------------------------------------------------
@@ -148,7 +129,7 @@ class ReconNet:
                     f"view count {key} already registered with different indices"
                 )
             return have
-        bundle = build_bundle(self.geom, subset, self._full_ops)
+        bundle = build_bundle(self.geom, subset)
         self._bundles[key] = bundle
         return bundle
 
@@ -159,7 +140,7 @@ class ReconNet:
     # -- forward -------------------------------------------------------------
 
     def _context(self, y: Sinogram) -> StageContext:
-        if not geometries_compatible(y.geom, self.geom):
+        if y.geom.fingerprint != self.geom.fingerprint:
             raise GeometryError("sinogram geometry does not match the model's")
         bundle = self.register_views(y.subset)
         return build_context(y, bundle, self.groups)

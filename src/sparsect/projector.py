@@ -16,9 +16,16 @@ square grid, fan views a multiple of pi/2 apart, and parallel views pi/2
 apart, share one table, and each is gathered from (or accumulated into) an
 np.rot90 copy of the image. Other grids build one table per view. Each
 operator supplies only a module-level builder of its tables.
+
+Kept tables live in one process-wide store (`_STORE`), keyed by builder,
+geometry fingerprint and representative view, so every operator over an
+equal geometry reads the same tables, whoever built them first.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -32,12 +39,61 @@ from .geometry import (
     view_orbits,
 )
 
-# Per-operator cache limit of `_OrbitCore`: tables are kept across calls only
-# when an estimate over every view of the subset (32 bytes per tap: two int64
-# indices and two float64 weights) fits, since large geometries would
-# otherwise pin gigabytes. Without a cache, each call rebuilds one table per
-# orbit, which costs about ten times the gather that uses it.
+# Byte budget of the process-wide `_STORE`, and the admission limit of one
+# `_OrbitCore`: its tables are kept across calls only when an estimate over
+# every view of its subset (32 bytes per tap: two int64 indices and two
+# float64 weights) fits, since large geometries would otherwise pin
+# gigabytes. Without admission, each call rebuilds one table per orbit, which
+# costs about ten times the gather that uses it.
 _CACHE_LIMIT_BYTES = 64 * 2**20
+
+
+def _nbytes(value) -> int:
+    """Bytes of a value as arrays, through nested lists and tuples."""
+    if isinstance(value, (list, tuple)):
+        return sum(_nbytes(v) for v in value)
+    return np.asarray(value).nbytes
+
+
+class _Store:
+    """Least-recently-used values under one byte budget, built on a miss.
+
+    A key names what its value is (the module-level table builder, or a
+    tag) and the geometry fingerprint it was computed on, so the store holds
+    no operator. A value larger than the whole budget is returned unkept.
+    The bookkeeping holds a lock, since operators in several threads share
+    the store; two threads that miss one key may both build it.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self.entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, make):
+        with self._lock:
+            hit = self.entries.get(key)
+            if hit is not None:
+                self.entries.move_to_end(key)
+                return hit[0]
+        value = make()
+        size = _nbytes(value)
+        with self._lock:
+            if size <= self.limit and key not in self.entries:
+                while self.nbytes + size > self.limit:
+                    self.nbytes -= self.entries.popitem(last=False)[1][1]
+                self.entries[key] = (value, size)
+                self.nbytes += size
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self.nbytes = 0
+
+
+_STORE = _Store(_CACHE_LIMIT_BYTES)
 
 
 def _checked(a, shape: tuple[int, int], kind: str) -> np.ndarray:
@@ -69,14 +125,15 @@ def _scatter(vals, i0, i1, w0, w1, out):
 
 
 class _OrbitCore:
-    """Orbit loops and table cache of a two-tap operator over a view subset.
+    """Orbit loops and table lookup of a two-tap operator over a view subset.
 
     `build(geom, view)` returns the tables of full-view index `view` as a
     list of (sel, i0, i1, w0, w1) groups, where `sel` picks the detector
     cells of the row the group covers. The operator's `apply` is the gather
     direction of its tables and `applyT` the scatter direction. Tables that
     scatter into rows (the backprojector's) must select cells by a slice,
-    since the scatter adds into a view of the output row.
+    since the scatter adds into a view of the output row. An admitted
+    core keeps its tables in `_STORE`; any other rebuilds them per call.
     """
 
     def __init__(self, geom, subset, build, taps_per_view: float):
@@ -85,15 +142,13 @@ class _OrbitCore:
         self.orbits = view_orbits(geom, self.subset.indices)
         self.rows_shape = (self.subset.q1, geom.n_det)
         self._build = build
-        est = self.subset.q1 * taps_per_view * 32
-        self.cache: dict[int, list] | None = {} if est <= _CACHE_LIMIT_BYTES else None
+        self.admitted = self.subset.q1 * taps_per_view * 32 <= _CACHE_LIMIT_BYTES
 
     def tables(self, view: int) -> list:
-        if self.cache is None:
-            return self._build(self.geom, view)
-        if view not in self.cache:
-            self.cache[view] = self._build(self.geom, view)
-        return self.cache[view]
+        build, geom = self._build, self.geom
+        if not self.admitted:
+            return build(geom, view)
+        return _STORE.get((build, geom.fingerprint, view), lambda: build(geom, view))
 
     def image_to_rows(self, x, transpose: bool = False) -> np.ndarray:
         x = _checked(x, self.geom.grid, "image")

@@ -85,23 +85,21 @@ class OperatorBundle:
     fbp_f: FbpOperator
 
 
-def build_bundle(
-    geom: ScanGeometry,
-    subset: ViewSubset,
-    full_ops: tuple[JosephProjector, FbpOperator] | None = None,
-) -> OperatorBundle:
-    """Assemble operators for a subset; full-view handles may be shared."""
-    if full_ops is None:
-        fs = full_subset(geom)
-        full_ops = (JosephProjector(geom, fs), FbpOperator(geom, fs))
+def build_bundle(geom: ScanGeometry, subset: ViewSubset) -> OperatorBundle:
+    """Assemble operators for a subset.
+
+    Bundles over one geometry share their full-view tables through the
+    projector's table store, wherever those tables are admitted.
+    """
+    fs = full_subset(geom)
     return OperatorBundle(
         geom=geom,
         subset=subset,
         proj_s=JosephProjector(geom, subset),
         fbp_s=FbpOperator(geom, subset),
         upsampler=ViewUpsampler(geom, subset),
-        proj_f=full_ops[0],
-        fbp_f=full_ops[1],
+        proj_f=JosephProjector(geom, fs),
+        fbp_f=FbpOperator(geom, fs),
     )
 
 

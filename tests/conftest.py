@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sparsect.geometry import make_geometry
+from sparsect.projector import _STORE
 
 
 def dense_from_op(apply_fn, in_shape, out_shape) -> np.ndarray:
@@ -58,6 +59,13 @@ _kinks_in_test = 0
 def pytest_runtest_setup(item):
     global _kinks_in_test
     _kinks_in_test = 0
+
+
+@pytest.fixture(autouse=True)
+def empty_table_store():
+    """Start each test with no stored tables, so what a test builds or reuses
+    does not depend on the tests that ran before it in the process."""
+    _STORE.clear()
 
 
 def rel_err(a: float, b: float, floor: float = 1e-12) -> float:

@@ -168,7 +168,7 @@ class TestBackprojectorTapCache:
 
         monkeypatch.setattr(fbp_module, "_pixel_taps", counted)
         bp = PixelBackprojector(geom, sparse_subset(geom, 6))
-        assert bp._core.cache is not None
+        assert bp._core.admitted
         rng = np.random.default_rng(12)
         rows = rng.standard_normal(bp.in_shape)
         img = rng.standard_normal(geom.grid)
@@ -186,7 +186,7 @@ class TestBackprojectorTapCache:
                              det_dist=125.0)
         bp = PixelBackprojector(geom)
         bp.apply(np.ones(bp.in_shape))
-        assert bp._core.cache is None
+        assert not bp._core.admitted
 
 
 class TestFbpOperator:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsect import fista as fista_module
 from sparsect.experiments import toy_geometry
 from sparsect.fbp import FbpOperator
 from sparsect.fista import (
@@ -94,6 +95,20 @@ def make_measurement(geom, q=5, seed=7):
     subset = sparse_subset(geom, q)
     proj = JosephProjector(geom, subset)
     return Sinogram(proj.apply(x), geom, subset), x
+
+
+def count_projector_calls(monkeypatch) -> dict[str, int]:
+    """Counts of JosephProjector.apply and applyT calls from here on."""
+    calls = {"apply": 0, "applyT": 0}
+    for name in calls:
+        method = getattr(JosephProjector, name)
+
+        def counted(self, arr, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, arr)
+
+        monkeypatch.setattr(JosephProjector, name, counted)
+    return calls
 
 
 class TestTotalVariation:
@@ -193,21 +208,24 @@ class TestFista:
         self, tiny_fan, monkeypatch
     ):
         y, _ = make_measurement(tiny_fan)
-        calls = {"apply": 0, "applyT": 0}
-        for name in calls:
-            method = getattr(JosephProjector, name)
-
-            def counted(self, arr, _name=name, _method=method):
-                calls[_name] += 1
-                return _method(self, arr)
-
-            monkeypatch.setattr(JosephProjector, name, counted)
+        calls = count_projector_calls(monkeypatch)
         cfg = FistaConfig()
         fista_tv(y, 0.05, cfg)
         # power iteration: one of each per step; then A x once, and per
         # iteration one applyT for the gradient and one apply for A cand
         assert cfg.power_iters == 20 and cfg.n_iters == 60
         assert calls == {"apply": 81, "applyT": 80}
+
+    def test_repeat_solve_reuses_the_lipschitz_estimate(self, tiny_fan, monkeypatch):
+        y, _ = make_measurement(tiny_fan)
+        cold = fista_tv(y, 0.05)
+        calls = count_projector_calls(monkeypatch)
+        warm = fista_tv(y, 0.05)
+        # A x once, then one applyT and one apply per iteration
+        assert calls == {"apply": 61, "applyT": 60}
+        assert warm.image.data.tobytes() == cold.image.data.tobytes()
+        assert warm.objectives == cold.objectives
+        assert warm.lipschitz == cold.lipschitz
 
     @pytest.mark.parametrize("beam", ["fan", "parallel"])
     @pytest.mark.parametrize("fbp_init", [True, False])
@@ -253,6 +271,19 @@ class TestTuneLambda:
         )
         assert set(table) == set(grid)
         assert best == max(table, key=table.get)
+
+    def test_power_iteration_runs_once_per_geometry_and_subset(self, tiny_fan, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return estimate_lipschitz(*args, **kwargs)
+
+        monkeypatch.setattr(fista_module, "estimate_lipschitz", counted)
+        y1, x1 = make_measurement(tiny_fan, seed=1)
+        y2, x2 = make_measurement(tiny_fan, seed=2)
+        tune_lambda([y1, y2], [x1, x2], (0.01, 0.03, 0.1), FistaConfig(n_iters=5))
+        assert len(runs) == 1
 
     def test_length_mismatch_rejected(self, tiny_fan):
         y, x = make_measurement(tiny_fan)

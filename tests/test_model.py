@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from sparsect.geometry import (
     Sinogram,
     ViewSubset,
     make_geometry,
+    perturb_geometry,
     sparse_subset,
 )
 from sparsect.losses import total_loss
-from sparsect.model import ReconNet, geometries_compatible
-from sparsect.projector import JosephProjector
+from sparsect.model import ReconNet
+from sparsect.projector import _STORE, JosephProjector
 from sparsect.refine import stack_width, variant_groups
 
 RNG = np.random.default_rng(17)
@@ -269,5 +271,19 @@ class TestGeometryRebinding:
         assert np.isfinite(out.data).all()
 
     def test_compatibility_predicate(self, tiny_fan, tiny_parallel):
-        assert geometries_compatible(tiny_fan, tiny_fan)
-        assert not geometries_compatible(tiny_fan, tiny_parallel)
+        twin = make_geometry("fan", n_views=10, n_det=13, det_spacing=2.2,
+                             grid=(8, 8), pixel_size=1.0, src_dist=25.0, det_dist=25.0)
+        assert twin.fingerprint == tiny_fan.fingerprint
+        assert tiny_parallel.fingerprint != tiny_fan.fingerprint
+        # the perturbed-geometry experiment's layout, moved in det_dist only:
+        # no fingerprint match, so no shared tables and no model fit
+        moved = replace(tiny_fan, det_dist=perturb_geometry(tiny_fan, 0.01, seed=0).det_dist)
+        assert moved.src_dist == tiny_fan.src_dist and moved.det_dist != tiny_fan.det_dist
+        assert moved.fingerprint != tiny_fan.fingerprint
+        x = RNG.random(tiny_fan.grid)
+        a, b = JosephProjector(tiny_fan).apply(x), JosephProjector(moved).apply(x)
+        assert not np.array_equal(a, b)
+        assert {key[1] for key in _STORE.entries} == {tiny_fan.fingerprint, moved.fingerprint}
+        y, _ = measure(moved, 5)
+        with pytest.raises(GeometryError, match="does not match"):
+            tiny_model(tiny_fan).forward(y)

@@ -1,15 +1,20 @@
 """Properties every operator on the projector's two-tap core shares: one
-subset check, no reference cycles, and the cache admission rule."""
+subset check, no reference cycles, the cache admission rule, and one
+process-wide table store."""
 
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from sparsect import fbp as fbp_module
+from sparsect import projector as projector_module
 from sparsect.experiments import toy_geometry
 from sparsect.fbp import FbpOperator, PixelBackprojector, ViewUpsampler
 from sparsect.geometry import ViewSubset, make_geometry, sparse_subset
-from sparsect.projector import JosephProjector
+from sparsect.projector import _CACHE_LIMIT_BYTES, _STORE, JosephProjector, _Store
 
 OPERATORS = [JosephProjector, PixelBackprojector, FbpOperator, ViewUpsampler]
 
@@ -30,6 +35,13 @@ def test_subset_past_the_full_view_count_raises_value_error(cls, small_fan):
     bad = ViewSubset(np.array([0, 5, 12]), 3)
     with pytest.raises(ValueError, match="full view count"):
         cls(small_fan, bad)
+
+
+def stored_views(op):
+    """Full-view indices whose tables the store keeps for op's builder and geometry."""
+    core = op._core
+    return [key[2] for key in _STORE.entries
+            if key[0] is core._build and key[1] == core.geom.fingerprint]
 
 
 def unreachable_after(fn):
@@ -64,19 +76,87 @@ class TestCacheAdmission:
         op.apply(np.ones(op.in_shape))
         reps = [rep for rep, _, _ in op._core.orbits]
         assert len(reps) == 8
-        assert sorted(op._core.cache) == reps
+        assert sorted(stored_views(op)) == reps
 
     @pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector])
     def test_recon_mid_full_view_set_keeps_nothing(self, cls):
-        assert cls(recon_mid_geometry())._core.cache is None
+        assert not cls(recon_mid_geometry())._core.admitted
 
     @pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector])
     def test_fista_tv_subset_is_cached(self, cls):
         geom = fista_tv_geometry()
-        assert cls(geom, sparse_subset(geom, 45))._core.cache is not None
+        assert cls(geom, sparse_subset(geom, 45))._core.admitted
 
     @pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector])
     @pytest.mark.parametrize("q", [15, 30, 60])
     def test_toy_subsets_are_cached(self, cls, q):
         geom = toy_geometry()
-        assert cls(geom, sparse_subset(geom, q))._core.cache is not None
+        assert cls(geom, sparse_subset(geom, q))._core.admitted
+
+
+class TestTableStore:
+    """One process-wide store keeps the admitted tables of every operator,
+    keyed by builder, geometry fingerprint and representative view."""
+
+    @pytest.mark.parametrize("cls, module, builder", [
+        (JosephProjector, projector_module, "_joseph_tables"),
+        (PixelBackprojector, fbp_module, "_pixel_taps"),
+    ], ids=["JosephProjector", "PixelBackprojector"])
+    def test_operators_over_equal_geometries_share_tables(self, cls, module, builder,
+                                                          monkeypatch):
+        original = getattr(module, builder)
+        built = []
+
+        def counted(*args):
+            built.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(module, builder, counted)
+        # two geometries built apart from equal fields
+        first = cls(fista_tv_geometry(), sparse_subset(fista_tv_geometry(), 45))
+        second = cls(fista_tv_geometry(), sparse_subset(fista_tv_geometry(), 45))
+        x = np.random.default_rng(3).standard_normal(first.in_shape)
+        out = first.apply(x)
+        assert len(built) == len(first._core.orbits)
+        assert second.apply(x).tobytes() == out.tobytes()
+        assert len(built) == len(first._core.orbits)
+
+    def test_cycling_subsets_past_the_budget_stays_within_it(self):
+        # A non-square grid gives every view its own table: four disjoint
+        # 30-view subsets are admitted one by one, but hold about 90 MB.
+        geom = make_geometry("parallel", n_views=120, n_det=183, det_spacing=1.0,
+                             grid=(128, 127), pixel_size=1.0)
+        subsets = [ViewSubset(np.arange(k, 120, 4), 30) for k in range(4)]
+        x = np.ones(geom.grid)
+        for _ in range(2):
+            for sub in subsets:
+                proj = JosephProjector(geom, sub)
+                assert proj._core.admitted
+                out = proj.apply(x)
+                sizes = [size for _, size in _STORE.entries.values()]
+                assert _STORE.nbytes == sum(sizes) <= _CACHE_LIMIT_BYTES
+        assert 120 * min(sizes) > _CACHE_LIMIT_BYTES
+        assert len(sizes) < 120
+        assert JosephProjector(geom, subsets[-1]).apply(x).tobytes() == out.tobytes()
+
+    def test_threads_sharing_a_store_keep_its_byte_count(self):
+        store = _Store(limit=4096)
+        switch = sys.getswitchinterval()
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for key in rng.integers(64, size=2000):
+                store.get((int(key),), lambda: np.zeros(int(key) % 16 + 1))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        sizes = [size for _, size in store.entries.values()]
+        assert store.nbytes == sum(sizes) <= store.limit

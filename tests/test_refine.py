@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import sparsect.autodiff as ad
+from sparsect import fbp as fbp_module
+from sparsect import projector as projector_module
 from sparsect.autodiff import Tape
-from sparsect.fbp import FbpOperator, ViewUpsampler
+from sparsect.fbp import ViewUpsampler
 from sparsect.geometry import (
     GeometryError,
     Sinogram,
@@ -11,7 +13,6 @@ from sparsect.geometry import (
     make_geometry,
     sparse_subset,
 )
-from sparsect.projector import JosephProjector
 from sparsect.refine import (
     ALL_GROUPS,
     CHANNEL_ORDER,
@@ -181,14 +182,25 @@ class TestPlumbing:
         with pytest.raises(GeometryError):
             build_context(y, bundle)
 
-    def test_full_operator_handles_can_be_shared(self, tiny_fan):
-        fs = full_subset(tiny_fan)
-        shared = (JosephProjector(tiny_fan, fs), FbpOperator(tiny_fan, fs))
-        b1 = build_bundle(tiny_fan, sparse_subset(tiny_fan, 5), shared)
-        b2 = build_bundle(tiny_fan, sparse_subset(tiny_fan, 2), shared)
-        assert b1.proj_f is shared[0] and b2.proj_f is shared[0]
-        assert b1.fbp_f is shared[1] and b2.fbp_f is shared[1]
+    def test_bundles_share_full_view_tables(self, tiny_fan, monkeypatch):
+        built = []
+        for module, name in ((projector_module, "_joseph_tables"), (fbp_module, "_pixel_taps")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original):
+                built.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        b1 = build_bundle(tiny_fan, sparse_subset(tiny_fan, 5))
+        b2 = build_bundle(tiny_fan, sparse_subset(tiny_fan, 2))
         assert isinstance(b1.upsampler, ViewUpsampler)
+        x = RNG.random(tiny_fan.grid)
+        first = b1.fbp_f.apply(b1.proj_f.apply(x))
+        n_built = len(built)
+        assert n_built > 0
+        assert b2.fbp_f.apply(b2.proj_f.apply(x)).tobytes() == first.tobytes()
+        assert len(built) == n_built
 
     def test_stack_gradient_matches_finite_differences(self, tiny_parallel):
         _, ctx, _ = tiny_context(tiny_parallel)
