@@ -23,6 +23,7 @@ from .correction import param_count
 from .experiments import ToySpec, run_ablation
 from .fbp import fbp
 from .geometry import (
+    PRESETS,
     GeometryError,
     Image,
     Sinogram,
@@ -56,20 +57,21 @@ def _subset(geom, views):
     return full_subset(geom) if views is None else sparse_subset(geom, views)
 
 
+def _load(path, make):
+    """`make(tensor at path)`, naming the file in a scan-contract fault."""
+    data = load_tensor(path)
+    try:
+        return make(data)
+    except GeometryError as e:
+        raise GeometryError(f"{path}: {e}") from None
+
+
 def _load_sino(path, geom, views) -> Sinogram:
-    subset = _subset(geom, views)
-    data = load_tensor(path).astype(np.float64)
-    want = (subset.q1, geom.n_det)
-    if data.shape != want:
-        raise ValueError(f"{path}: sinogram shape {data.shape}, geometry wants {want}")
-    return Sinogram(data, geom, subset)
+    return _load(path, lambda d: Sinogram(d, geom, _subset(geom, views)))
 
 
 def _load_image(path, geom) -> Image:
-    data = load_tensor(path).astype(np.float64)
-    if data.shape != geom.grid:
-        raise ValueError(f"{path}: image shape {data.shape}, geometry wants {geom.grid}")
-    return Image(data, geom)
+    return _load(path, lambda d: Image(d, geom))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -107,7 +109,16 @@ def cmd_fbp(args) -> int:
 def cmd_train(args) -> int:
     geom = _geom(args)
     man = load_manifest(args.manifest)
-    images = [load_tensor(p).astype(np.float64) for p in man.paths("train")]
+    # The manifest names its geometry as --geometry does; a config path is
+    # relative to the manifest, like its split paths.
+    spec = man.geometry
+    if spec not in PRESETS:
+        spec = str(Path(args.manifest).parent / spec)
+    if resolve_geometry(spec).fingerprint != geom.fingerprint:
+        raise GeometryError(
+            f"manifest geometry {man.geometry!r} differs from --geometry {args.geometry!r}"
+        )
+    images = [_load_image(p, geom).data for p in man.paths("train")]
     schedule = tuple(int(v) for v in args.views.split(","))
     steps = args.steps if args.steps is not None else args.epochs * len(images)
     model = ReconNet(
@@ -271,8 +282,8 @@ def cmd_selftest(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_geometry(p, required=True):
-    p.add_argument("--geometry", required=required, help="preset name or key=value config file")
+def _add_geometry(p):
+    p.add_argument("--geometry", required=True, help="preset name or key=value config file")
 
 
 def build_parser() -> argparse.ArgumentParser:

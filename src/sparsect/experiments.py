@@ -19,6 +19,7 @@ from .metrics import psnr
 from .model import ReconNet
 from .phantoms import EllipseCloudSpec, random_ellipses
 from .projector import JosephProjector
+from .refine import variant_groups
 from .training import TrainConfig, TrainResult, train_loop
 
 TOY_SCHEDULE = (15, 30)
@@ -48,8 +49,8 @@ def toy_geometry() -> ScanGeometry:
     )
 
 
-def toy_phantoms(n: int, seed0: int, grid: tuple[int, int] = (32, 32)) -> list[np.ndarray]:
-    return [random_ellipses(grid, seed=seed0 + i, spec=TOY_PHANTOM_SPEC) for i in range(n)]
+def toy_phantoms(n: int, seed0: int) -> list[np.ndarray]:
+    return [random_ellipses((32, 32), seed=seed0 + i, spec=TOY_PHANTOM_SPEC) for i in range(n)]
 
 
 def toy_splits(
@@ -77,9 +78,9 @@ class ToySpec:
     schedule: tuple[int, ...] = TOY_SCHEDULE
 
 
-def toy_model(spec: ToySpec = ToySpec(), geom: ScanGeometry | None = None) -> ReconNet:
+def toy_model(spec: ToySpec = ToySpec()) -> ReconNet:
     return ReconNet(
-        geom if geom is not None else toy_geometry(),
+        toy_geometry(),
         width=spec.width,
         depth=spec.depth,
         n_stages=spec.n_stages,
@@ -167,18 +168,15 @@ class AblationRow:
     psnr_by_views: dict[int, float]
 
 
-def run_ablation(
-    variants: Sequence[str],
-    spec: ToySpec = ToySpec(),
-    eval_views: Sequence[int] | None = None,
-) -> list[AblationRow]:
+def run_ablation(variants: Sequence[str], spec: ToySpec = ToySpec()) -> list[AblationRow]:
     """Train each channel-subset variant identically and score held-out PSNR."""
-    eval_views = tuple(eval_views) if eval_views is not None else spec.schedule
+    for v in variants:  # every letter, before any variant trains
+        variant_groups(v)
     train_imgs, _, test_imgs = toy_splits(seed=spec.seed)
     rows = []
     for v in variants:
         model, _ = train_toy(replace(spec, variant=v), images=train_imgs)
-        scores = {q: float(np.mean(eval_model(model, test_imgs, q))) for q in eval_views}
+        scores = {q: float(np.mean(eval_model(model, test_imgs, q))) for q in spec.schedule}
         rows.append(AblationRow(variant=v, psnr_by_views=scores))
     return rows
 

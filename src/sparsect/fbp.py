@@ -28,9 +28,11 @@ from .geometry import (
     ScanGeometry,
     Sinogram,
     ViewSubset,
+    _checked,
+    _view_subset,
     full_subset,
 )
-from .projector import _checked, _gather, _OrbitCore, _scatter, _view_subset
+from .projector import _gather, _OrbitCore, _scatter
 
 
 def _pad_length(n_det: int) -> int:
@@ -158,13 +160,13 @@ class FbpOperator:
             self._ramp = RampFilter(geom.n_det, geom.det_spacing)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
+        y = _checked(y, self.in_shape, "sinogram")
         if self._preweight is not None:
             y = y * self._preweight
         return self.scale * self._bp.apply(self._ramp.apply(y))
 
     def applyT(self, x: np.ndarray) -> np.ndarray:
-        rows = self._ramp.apply(self._bp.applyT(np.asarray(x, dtype=np.float64)))
+        rows = self._ramp.apply(self._bp.applyT(x))
         if self._preweight is not None:
             rows = rows * self._preweight
         return self.scale * rows
@@ -186,7 +188,7 @@ class ViewUpsampler:
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset):
         self.geom = geom
-        self.subset = _view_subset(geom, subset)
+        self.subset = subset = _view_subset(geom, subset)
         q1, n = subset.q1, geom.n_det
         self.in_shape = (q1, n)
         self.out_shape = (geom.n_views_full, n)
@@ -202,12 +204,10 @@ class ViewUpsampler:
         lo = hi - 1
         w = (full - ext[lo]) / (ext[hi] - ext[lo])
         # One flat table into the flattened sparse sinogram, with the wrap
-        # flips folded into its detector indices, stored as int32 (the
-        # sparse sinogram has far fewer than 2**31 cells).
+        # flips folded into its detector indices.
         det = np.arange(n)
         i0, i1 = (
-            (src[e][:, None] * n + np.where(flip[e][:, None], det[::-1], det))
-            .ravel().astype(np.int32)
+            (src[e][:, None] * n + np.where(flip[e][:, None], det[::-1], det)).ravel()
             for e in (lo, hi)
         )
         self._taps = (i0, i1, np.repeat(1.0 - w, n), np.repeat(w, n))

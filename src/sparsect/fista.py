@@ -93,9 +93,9 @@ def tv_prox(b: np.ndarray, weight: float, n_iters: int = 20, tau: float = 0.125)
     return np.subtract(b, tmp, out=tmp)
 
 
-def estimate_lipschitz(proj: JosephProjector, n_iters: int = 20, seed: int = 0) -> float:
-    """Largest eigenvalue of A^T A by power iteration (data-term Lipschitz)."""
-    rng = np.random.default_rng(seed)
+def estimate_lipschitz(proj: JosephProjector, n_iters: int = 20) -> float:
+    """Largest eigenvalue of A^T A by seeded power iteration (data-term Lipschitz)."""
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(proj.in_shape)
     x /= np.linalg.norm(x)
     lam = 1.0

@@ -145,12 +145,8 @@ class Image:
     geom: ScanGeometry
 
     def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        object.__setattr__(self, "data", d)
-        if d.shape != self.geom.grid:
-            raise GeometryError(
-                f"image shape {d.shape} does not match grid {self.geom.grid}"
-            )
+        d = _checked(self.data, self.geom.grid, "image")
+        object.__setattr__(self, "data", np.ascontiguousarray(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,15 +158,9 @@ class Sinogram:
     subset: ViewSubset
 
     def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        object.__setattr__(self, "data", d)
-        if self.subset.indices[-1] >= self.geom.n_views_full:
-            raise GeometryError("subset index exceeds the full view count")
-        if d.shape != (self.subset.q1, self.geom.n_det):
-            raise GeometryError(
-                f"sinogram shape {d.shape} does not match "
-                f"({self.subset.q1}, {self.geom.n_det})"
-            )
+        _view_subset(self.geom, self.subset)
+        d = _checked(self.data, (self.subset.q1, self.geom.n_det), "sinogram")
+        object.__setattr__(self, "data", np.ascontiguousarray(d))
 
     @property
     def angles(self) -> np.ndarray:
@@ -206,6 +196,28 @@ def make_geometry(
 def full_subset(geom: ScanGeometry) -> ViewSubset:
     """Subset selecting every view."""
     return ViewSubset(np.arange(geom.n_views_full), geom.n_views_full)
+
+
+# Every scan is a (geometry, view subset, array) triple. These two checks are
+# the only test of it: operators, containers, model, training and CLI call them.
+
+def _view_subset(geom: ScanGeometry, subset: ViewSubset | None) -> ViewSubset:
+    """The subset (every view if None), checked to fit the geometry."""
+    subset = full_subset(geom) if subset is None else subset
+    if subset.indices[-1] >= geom.n_views_full:
+        raise GeometryError(
+            f"subset index {subset.indices[-1]} exceeds the full view count "
+            f"{geom.n_views_full}"
+        )
+    return subset
+
+
+def _checked(a, shape: tuple[int, int], kind: str) -> np.ndarray:
+    """`a` as float64, checked to have the scan's `shape`."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise GeometryError(f"{kind} shape {a.shape} does not match the scan's {shape}")
+    return a
 
 
 # Two view angles closer than this are the same view.
@@ -275,33 +287,30 @@ def perturb_geometry(geom: ScanGeometry, rel: float, seed: int) -> ScanGeometry:
 # presets and text config
 # ---------------------------------------------------------------------------
 
-def _preset_fan_1024() -> ScanGeometry:
-    return make_geometry(
-        FAN, n_views=1024, n_det=1024, det_spacing=2.0,
-        grid=(512, 512), pixel_size=0.7, src_dist=500.0, det_dist=500.0,
-    )
-
-
-def _preset_parallel_720() -> ScanGeometry:
-    return make_geometry(
-        PARALLEL, n_views=720, n_det=729, det_spacing=0.7,
-        grid=(512, 512), pixel_size=0.7,
-    )
-
-
 PRESETS = {
-    "fan-1024": _preset_fan_1024,
-    "parallel-720": _preset_parallel_720,
+    "fan-1024": dict(
+        beam=FAN, n_views=1024, n_det=1024, det_spacing=2.0,
+        grid=(512, 512), pixel_size=0.7, src_dist=500.0, det_dist=500.0,
+    ),
+    "parallel-720": dict(
+        beam=PARALLEL, n_views=720, n_det=729, det_spacing=0.7,
+        grid=(512, 512), pixel_size=0.7,
+    ),
 }
 
 
-def geometry_preset(name: str) -> ScanGeometry:
+def _preset(name: str) -> dict:
+    """`make_geometry` keywords of a preset."""
     try:
-        return PRESETS[name]()
+        return PRESETS[name]
     except KeyError:
         raise GeometryError(
             f"unknown preset {name!r}; have {sorted(PRESETS)}"
         ) from None
+
+
+def geometry_preset(name: str) -> ScanGeometry:
+    return make_geometry(**_preset(name))
 
 
 def scaled_preset(name: str, grid: tuple[int, int]) -> ScanGeometry:
@@ -311,19 +320,11 @@ def scaled_preset(name: str, grid: tuple[int, int]) -> ScanGeometry:
     (and fan distances) scale with the physical grid diagonal so relative
     sampling and the FOV margin stay put.
     """
-    base = geometry_preset(name)
+    base = _preset(name)
     m1, m2 = int(grid[0]), int(grid[1])
-    ratio = math.hypot(m1, m2) / math.hypot(*base.grid)
-    if base.beam == PARALLEL:
-        return make_geometry(
-            PARALLEL, base.n_views_full, base.n_det, base.det_spacing * ratio,
-            (m1, m2), base.pixel_size,
-        )
-    return make_geometry(
-        FAN, base.n_views_full, base.n_det, base.det_spacing * ratio,
-        (m1, m2), base.pixel_size,
-        src_dist=base.src_dist * ratio, det_dist=base.det_dist * ratio,
-    )
+    ratio = math.hypot(m1, m2) / math.hypot(*base["grid"])
+    scaled = {k: base[k] * ratio for k in ("det_spacing", "src_dist", "det_dist") if k in base}
+    return make_geometry(**{**base, **scaled, "grid": (m1, m2)})
 
 
 _CONFIG_KEYS = {

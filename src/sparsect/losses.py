@@ -112,7 +112,4 @@ def unsupervised_loss(
     Zero (to rounding) when reprojection reproduces the data exactly.
     """
     back = ad.linear_op(ad.linear_op(x, ctx.bundle.proj_s), ctx.bundle.fbp_s)
-    ref = x.tape.constant(ctx.x0)
-    l1 = l1_loss(back, ref)
-    ssim_term = (1.0 - ssim_graph(back, ref, cfg)) * cfg.gamma
-    return l1 + ssim_term, l1, ssim_term
+    return total_loss(back, x.tape.constant(ctx.x0), cfg)

@@ -9,6 +9,7 @@ it never saw during training.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .geometry import (
     ScanGeometry,
     Sinogram,
     ViewSubset,
+    _view_subset,
     sparse_subset,
 )
 from .refine import (
@@ -94,17 +96,10 @@ class ReconNet:
 
     def with_geometry(self, geom: ScanGeometry) -> "ReconNet":
         """Same weights (copied) bound to a different scan layout."""
-        twin = ReconNet(
-            geom,
-            width=self.cfg.width,
-            depth=self.cfg.depth,
-            n_stages=self.n_stages,
-            variant=self.variant,
-            share_stage_params=self.share_stage_params,
-            zero_init_image=self.zero_init_image,
-            leaky_slope=self.cfg.leaky_slope,
-        )
+        twin = copy.copy(self)
+        twin.geom = geom
         twin.param_sets = [{k: v.copy() for k, v in ps.items()} for ps in self.param_sets]
+        twin._bundles = {}
         return twin
 
     # -- geometry registry -----------------------------------------------------
@@ -118,9 +113,7 @@ class ReconNet:
         if isinstance(subset_or_count, int):
             subset = sparse_subset(self.geom, subset_or_count)
         else:
-            subset = subset_or_count
-            if subset.indices[-1] >= self.geom.n_views_full:
-                raise GeometryError("subset index exceeds the full view count")
+            subset = _view_subset(self.geom, subset_or_count)
         key = subset.q1
         have = self._bundles.get(key)
         if have is not None:
@@ -188,6 +181,8 @@ class ReconNet:
         called with each image (initialization included) and its values are
         recorded alongside.
         """
+        if max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {max_iters}")
         ctx = self._context(y)
         tape = ad.Tape()
         pnode_sets = [

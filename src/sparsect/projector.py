@@ -9,7 +9,8 @@ upsampler (fbp.ViewUpsampler) are one kind of operator: each output sample
 is w0*src[i0] + w1*src[i1], and the transpose scatters with the same index
 and weight tables, so each pair is an exact transpose to rounding. `_gather`
 and `_scatter` are that pair. `_OrbitCore` runs it over a view subset for the
-projector and the backprojector: it validates the subset, caches the tables,
+projector and the backprojector: it checks the subset and each input against
+the scan (`geometry._view_subset`, `geometry._checked`), caches the tables,
 and owns the two orbit loops (image -> rows and rows -> image). Tables are
 built once per quarter-turn orbit of views (`geometry.view_orbits`): on a
 square grid, fan views a multiple of pi/2 apart, and parallel views pi/2
@@ -35,7 +36,8 @@ from .geometry import (
     ScanGeometry,
     Sinogram,
     ViewSubset,
-    full_subset,
+    _checked,
+    _view_subset,
     view_orbits,
 )
 
@@ -94,21 +96,6 @@ class _Store:
 
 
 _STORE = _Store(_CACHE_LIMIT_BYTES)
-
-
-def _checked(a, shape: tuple[int, int], kind: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != shape:
-        raise ValueError(f"expected {kind} shape {shape}")
-    return a
-
-
-def _view_subset(geom: ScanGeometry, subset: ViewSubset | None) -> ViewSubset:
-    """The subset (all views if None), checked against the full view count."""
-    subset = subset if subset is not None else full_subset(geom)
-    if subset.indices[-1] >= geom.n_views_full:
-        raise ValueError("subset index exceeds the full view count")
-    return subset
 
 
 def _gather(src, i0, i1, w0, w1):
@@ -289,9 +276,8 @@ class JosephProjector:
 
 def forward_project(x: Image, subset: ViewSubset | None = None) -> Sinogram:
     """Project an image into sinogram space over the given views."""
-    sub = subset if subset is not None else full_subset(x.geom)
-    proj = JosephProjector(x.geom, sub)
-    return Sinogram(proj.apply(x.data), x.geom, sub)
+    proj = JosephProjector(x.geom, subset)
+    return Sinogram(proj.apply(x.data), x.geom, proj.subset)
 
 
 def back_project(y: Sinogram) -> Image:

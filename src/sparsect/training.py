@@ -26,7 +26,7 @@ from .checkpoint import (
     restore_rng,
     save_checkpoint,
 )
-from .geometry import Sinogram
+from .geometry import Sinogram, _checked
 from .losses import LossConfig, total_loss, unsupervised_loss
 from .model import ReconNet
 from .optim import Adam, AdamConfig
@@ -150,8 +150,7 @@ def train_loop(
     if not images:
         raise ValueError("need at least one training image")
     for x in images:
-        if x.shape != model.geom.grid:
-            raise ValueError(f"image shape {x.shape} != grid {model.geom.grid}")
+        _checked(x, model.geom.grid, "image")
     for q in cfg.view_schedule:
         model.register_views(q)
 
@@ -190,6 +189,8 @@ def finetune_unsupervised(
 
     steps=0 leaves the model untouched (useful as a no-op baseline).
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     loss_cfg = LossConfig(gamma=gamma)
     optimizer = Adam(model.named_parameters(), AdamConfig(lr=lr))
     loss_fn = lambda out, ctx: unsupervised_loss(out, ctx, loss_cfg)

@@ -7,6 +7,7 @@ stdout, and stderr stay observable without spawning interpreters.
 import numpy as np
 import pytest
 
+from sparsect import experiments
 from sparsect.checkpoint import load_checkpoint, save_checkpoint
 from sparsect.cli import main
 from sparsect.geometry import geometry_from_config
@@ -272,3 +273,60 @@ def test_ablate_prints_table(tmp_path, capsys):
     assert lines[0].startswith("variant\tpsnr@")
     assert lines[1].startswith("a\t")
     assert out_file.read_text().strip() == out.strip()
+
+
+def test_train_refuses_a_manifest_made_for_another_geometry(tmp_path, geom_file, capsys):
+    man, _, _ = _write_train_setup(tmp_path, geom_file)
+    (tmp_path / "other.cfg").write_text(GEOM_CFG.replace("det_dist_mm = 40.0", "det_dist_mm = 41.0"))
+    text = (tmp_path / "data.manifest").read_text()
+    (tmp_path / "data.manifest").write_text(text.replace(geom_file, "other.cfg"))
+    ck, log = tmp_path / "m.ckpt", tmp_path / "t.tsv"
+    rc = main(["train", "--geometry", geom_file, "--manifest", man, *TRAIN_ARGS,
+               "--checkpoint", str(ck), "--log", str(log)])
+    assert rc == 2
+    assert "manifest geometry 'other.cfg' differs" in capsys.readouterr().err
+    assert not ck.exists() and not log.exists()
+
+
+def test_manifest_geometry_path_is_relative_to_the_manifest(tmp_path, geom_file, monkeypatch):
+    man, _, _ = _write_train_setup(tmp_path, geom_file)
+    text = (tmp_path / "data.manifest").read_text()
+    (tmp_path / "data.manifest").write_text(text.replace(geom_file, "tiny.cfg"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["train", "--geometry", geom_file, "--manifest", man, *TRAIN_ARGS]) == 0
+
+
+def _tiny_checkpoint(tmp_path, geom_file):
+    ck = str(tmp_path / "m.ckpt")
+    model = ReconNet(geometry_from_config(geom_file), width=2, depth=1, n_stages=1, variant="a")
+    save_checkpoint(ck, model)
+    sino = str(tmp_path / "y.tgrd")
+    save_tensor(sino, np.zeros((6, 23)))
+    return ck, sino
+
+
+@pytest.mark.parametrize("count", [["pnp", "--iters", "-3"], ["finetune", "--epochs", "-1"]],
+                         ids=["pnp", "finetune"])
+def test_negative_counts_exit_2_and_write_nothing(tmp_path, geom_file, capsys, count):
+    ck, sino = _tiny_checkpoint(tmp_path, geom_file)
+    out = tmp_path / "out"
+    rc = main([count[0], "--geometry", geom_file, "--views", "6", "--checkpoint", ck,
+               *count[1:], sino, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and ">= 0" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_ablate_checks_every_letter_before_training(tmp_path, monkeypatch, capsys):
+    def train_toy(*args, **kwargs):
+        raise AssertionError("a variant started training")
+
+    monkeypatch.setattr(experiments, "train_toy", train_toy)
+    out = tmp_path / "table.tsv"
+    rc = main(["ablate", "--variants", "a,z", "--out", str(out)])
+    assert rc == 2
+    assert "unknown variant 'z'" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsect import experiments
 from sparsect.experiments import (
     ToySpec,
     eval_fbp,
@@ -50,6 +51,19 @@ def test_toy_model_follows_spec_fields():
 def test_run_ablation_rejects_unknown_variant():
     with pytest.raises(ValueError):
         run_ablation(("q",), ToySpec(steps=1))
+
+
+def refuse_training(monkeypatch):
+    def train_toy(*args, **kwargs):
+        raise AssertionError("a variant started training")
+
+    monkeypatch.setattr(experiments, "train_toy", train_toy)
+
+
+def test_run_ablation_checks_every_letter_before_training(monkeypatch):
+    refuse_training(monkeypatch)
+    with pytest.raises(ValueError, match="'z'"):
+        run_ablation(("a", "z"), ToySpec(steps=1))
 
 
 def test_eval_fbp_scores_each_image():

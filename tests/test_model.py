@@ -239,6 +239,11 @@ class TestPnp:
         assert len(traj.metrics) == len(traj.images) == 5
         assert traj.metrics[0] == pytest.approx(float(traj.images[0].sum()))
 
+    def test_negative_iteration_count_rejected(self, tiny_fan):
+        y, _ = measure(tiny_fan, 5)
+        with pytest.raises(ValueError, match="max_iters"):
+            tiny_model(tiny_fan).run_pnp(y, max_iters=-3)
+
     def test_unshared_stages_hold_last_params_past_depth(self, tiny_fan):
         m = tiny_model(tiny_fan, n_stages=2, share_stage_params=False)
         y, _ = measure(tiny_fan, 5)

@@ -211,6 +211,13 @@ class TestFinetune:
         losses = [r[2] for r in res.rows]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
+    def test_negative_steps_rejected(self, tiny_fan, tmp_path):
+        log = tmp_path / "ft.tsv"
+        with pytest.raises(ValueError, match="steps"):
+            finetune_unsupervised(tiny_model(tiny_fan), self.make_measurement(tiny_fan),
+                                  steps=-1, log_path=log)
+        assert not log.exists()
+
     def test_logs_measurement_view_count(self, tiny_fan, tmp_path):
         m = tiny_model(tiny_fan)
         log = tmp_path / "ft.tsv"
