@@ -204,19 +204,44 @@ def linear_op(x, op):
 # convolutions
 # ---------------------------------------------------------------------------
 
-def _conv3x3_raw(x, w):
+# Bytes of one row band of the im2col matrix that `_conv3x3_raw` builds. A
+# conv whose whole matrix fits makes one band and one GEMM; a larger one
+# (64 channels at 128x128 is 72 MiB) never holds more than a band at once
+# unless its node is recorded.
+_BAND_BYTES = 8 * 2**20
+
+
+def _conv3x3_raw(x, w, keep: bool = False):
+    """3x3 convolution of x:(C,H,W) by w:(O,C,3,3), im2col in row bands.
+
+    Each band holds the 3x3 patches of a run of output rows, and one GEMM
+    per band writes those rows. Returns (output, bands): with `keep` the
+    bands, in row order, for the weight gradient; without it none, and each
+    band is freed before the next is built.
+    """
     c, h, wd = x.shape
+    o = w.shape[0]
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (c, h, wd, 3, 3)
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * 9, h * wd)
-    out = w.reshape(w.shape[0], c * 9) @ cols
-    return out.reshape(w.shape[0], h, wd), cols
+    wm = w.reshape(o, c * 9)
+    step = max(1, _BAND_BYTES // (c * 9 * wd * 8))
+    out = np.empty((o, h, wd))
+    flat = out.reshape(o, h * wd)
+    bands = []
+    for r in range(0, h, step):
+        cols = win[:, r: r + step].transpose(0, 3, 4, 1, 2).reshape(c * 9, -1)
+        np.matmul(wm, cols, out=flat[:, r * wd: r * wd + cols.shape[1]])
+        if keep:
+            bands.append(cols)
+        del cols
+    return out, bands
 
 
 def conv3x3(x, w, b):
     """3x3 convolution, stride 1, zero padding 1. x:(C,H,W) w:(O,C,3,3) b:(O,)."""
     xv, wv, bv = x.value, w.value, b.value
-    out, cols = _conv3x3_raw(xv, wv)
+    rg = x.requires_grad or w.requires_grad or b.requires_grad
+    out, bands = _conv3x3_raw(xv, wv, keep=rg)
     out = out + bv[:, None, None]
     o = wv.shape[0]
 
@@ -226,12 +251,17 @@ def conv3x3(x, w, b):
         return dx
 
     def vjp_w(g):
-        return (g.reshape(o, -1) @ cols.T).reshape(wv.shape)
+        g = g.reshape(o, -1)
+        n = bands[0].shape[1]
+        dw = g[:, :n] @ bands[0].T
+        for cols in bands[1:]:
+            dw += g[:, n: n + cols.shape[1]] @ cols.T
+            n += cols.shape[1]
+        return dw.reshape(wv.shape)
 
     def vjp_b(g):
         return g.sum(axis=(1, 2))
 
-    rg = x.requires_grad or w.requires_grad or b.requires_grad
     return x.tape._record(out, ((x, vjp_x), (w, vjp_w), (b, vjp_b)), rg)
 
 

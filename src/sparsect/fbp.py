@@ -8,9 +8,9 @@ above twice the detector count; no apodization window is applied.
 The backprojector and the view upsampler run on the projector's two-tap
 core (`projector._gather`, `projector._scatter`). The backprojector supplies
 only its per-view detector taps (`_pixel_taps`); `projector._OrbitCore`
-builds them once per quarter-turn orbit of views, keeps them in the
-process-wide table store when they are admitted, and runs the orbit loops
-over np.rot90 copies of the image. The
+builds them once per orbit of views under the symmetries of the square,
+keeps them in the process-wide table store when they are admitted, and runs
+the orbit loops over turned or transposed copies of the image. The
 upsampler supplies one flat table over the full view set, with the parallel
 beam's wrap-around detector flips folded into its indices.
 """

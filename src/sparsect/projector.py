@@ -12,11 +12,13 @@ and `_scatter` are that pair. `_OrbitCore` runs it over a view subset for the
 projector and the backprojector: it checks the subset and each input against
 the scan (`geometry._view_subset`, `geometry._checked`), caches the tables,
 and owns the two orbit loops (image -> rows and rows -> image). Tables are
-built once per quarter-turn orbit of views (`geometry.view_orbits`): on a
-square grid, fan views a multiple of pi/2 apart, and parallel views pi/2
-apart, share one table, and each is gathered from (or accumulated into) an
-np.rot90 copy of the image. Other grids build one table per view. Each
-operator supplies only a module-level builder of its tables.
+built once per orbit of views under the 8 symmetries of the square
+(`geometry.view_orbits`): on a square grid, views a quarter turn apart or
+mirror images about the grid's diagonal share one table, and each is
+gathered from (or accumulated into) a turned or transposed copy of the
+image, a mirrored view with its detector row reversed. Other grids build one
+table per view. Each operator supplies only a module-level builder of its
+tables.
 
 Kept tables live in one process-wide store (`_STORE`), keyed by builder,
 geometry fingerprint and representative view, so every operator over an
@@ -43,10 +45,12 @@ from .geometry import (
 
 # Byte budget of the process-wide `_STORE`, and the admission limit of one
 # `_OrbitCore`: its tables are kept across calls only when an estimate over
-# every view of its subset (32 bytes per tap: two int64 indices and two
+# its orbit representatives (32 bytes per tap: two int64 indices and two
 # float64 weights) fits, since large geometries would otherwise pin
 # gigabytes. Without admission, each call rebuilds one table per orbit, which
-# costs about ten times the gather that uses it.
+# costs about ten times the gather that uses it. At 128x128 with 256 fan
+# views the full view set has 33 representatives: about 33 MiB of projector
+# tables and 17 MiB of backprojector taps, which every subset shares.
 _CACHE_LIMIT_BYTES = 64 * 2**20
 
 
@@ -111,6 +115,17 @@ def _scatter(vals, i0, i1, w0, w1, out):
     return out
 
 
+def _turned(x, code: int) -> np.ndarray:
+    """x under the symmetry of turn code `code` (`geometry.view_orbits`)."""
+    x = np.rot90(x, code % 4)
+    return x.T if code >= 4 else x
+
+
+def _unturned(z, code: int) -> np.ndarray:
+    """Adjoint (and inverse) of `_turned`."""
+    return np.rot90(z.T if code >= 4 else z, -(code % 4))
+
+
 class _OrbitCore:
     """Orbit loops and table lookup of a two-tap operator over a view subset.
 
@@ -119,8 +134,9 @@ class _OrbitCore:
     cells of the row the group covers. The operator's `apply` is the gather
     direction of its tables and `applyT` the scatter direction. Tables that
     scatter into rows (the backprojector's) must select cells by a slice,
-    since the scatter adds into a view of the output row. An admitted
-    core keeps its tables in `_STORE`; any other rebuilds them per call.
+    since the scatter adds into a view of the output row. A mirrored view
+    (code >= 4) reads and writes its row reversed. An admitted core keeps
+    its tables in `_STORE`; any other rebuilds them per call.
     """
 
     def __init__(self, geom, subset, build, taps_per_view: float):
@@ -129,29 +145,31 @@ class _OrbitCore:
         self.orbits = view_orbits(geom, self.subset.indices)
         self.rows_shape = (self.subset.q1, geom.n_det)
         self._build = build
-        self.admitted = self.subset.q1 * taps_per_view * 32 <= _CACHE_LIMIT_BYTES
+        self._fingerprint = geom.fingerprint
+        self.admitted = len(self.orbits) * taps_per_view * 32 <= _CACHE_LIMIT_BYTES
 
     def tables(self, view: int) -> list:
         build, geom = self._build, self.geom
         if not self.admitted:
             return build(geom, view)
-        return _STORE.get((build, geom.fingerprint, view), lambda: build(geom, view))
+        return _STORE.get((build, self._fingerprint, view), lambda: build(geom, view))
 
     def image_to_rows(self, x, transpose: bool = False) -> np.ndarray:
         x = _checked(x, self.geom.grid, "image")
         flats = {}
         out = np.zeros(self.rows_shape)
-        for rep, positions, turns in self.orbits:
+        for rep, positions, codes in self.orbits:
             groups = self.tables(rep)
-            for vi, k in zip(positions, turns):
-                if k not in flats:
-                    flats[k] = np.rot90(x, k).ravel()
-                flat = flats[k]
+            for vi, code in zip(positions, codes):
+                if code not in flats:
+                    flats[code] = _turned(x, code).ravel()
+                flat = flats[code]
+                row = out[vi, ::-1] if code >= 4 else out[vi]
                 for sel, i0, i1, w0, w1 in groups:
                     if transpose:
-                        _scatter(flat, i0, i1, w0, w1, out[vi, sel])
+                        _scatter(flat, i0, i1, w0, w1, row[sel])
                     else:
-                        out[vi, sel] = _gather(flat, i0, i1, w0, w1)
+                        row[sel] = _gather(flat, i0, i1, w0, w1)
         return out
 
     def rows_to_image(self, y, transpose: bool = False) -> np.ndarray:
@@ -159,20 +177,21 @@ class _OrbitCore:
         grid = self.geom.grid
         m = grid[0] * grid[1]
         accs: dict[int, np.ndarray] = {}
-        for rep, positions, turns in self.orbits:
+        for rep, positions, codes in self.orbits:
             groups = self.tables(rep)
-            for vi, k in zip(positions, turns):
-                if k not in accs:
-                    accs[k] = np.zeros(m)
-                acc = accs[k]
+            for vi, code in zip(positions, codes):
+                if code not in accs:
+                    accs[code] = np.zeros(m)
+                acc = accs[code]
+                row = y[vi, ::-1] if code >= 4 else y[vi]
                 for sel, i0, i1, w0, w1 in groups:
                     if transpose:
-                        _scatter(y[vi, sel], i0, i1, w0, w1, acc)
+                        _scatter(row[sel], i0, i1, w0, w1, acc)
                     else:
-                        acc += _gather(y[vi, sel], i0, i1, w0, w1)
+                        acc += _gather(row[sel], i0, i1, w0, w1)
         out = accs.pop(0, np.zeros(m)).reshape(grid)
-        for k, acc in accs.items():
-            out += np.rot90(acc.reshape(grid), -k)
+        for code, acc in accs.items():
+            out += _unturned(acc.reshape(grid), code)
         return out
 
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparsect.geometry import make_geometry
+from sparsect.experiments import toy_geometry
+from sparsect.geometry import ScanGeometry, make_geometry, sparse_subset
 from sparsect.projector import _STORE
 
 
@@ -66,6 +67,59 @@ def empty_table_store():
     """Start each test with no stored tables, so what a test builds or reuses
     does not depend on the tests that ran before it in the process."""
     _STORE.clear()
+
+
+def recon_mid_geometry() -> ScanGeometry:
+    """The benchmark's `recon-mid` scan: fan beam, 256 views, 128x128."""
+    return make_geometry("fan", n_views=256, n_det=256, det_spacing=2.0,
+                         grid=(128, 128), pixel_size=0.7, src_dist=125.0,
+                         det_dist=125.0)
+
+
+def fista_tv_geometry() -> ScanGeometry:
+    """The benchmark's `fista-tv` scan: parallel beam, 180 views, 128x128."""
+    return make_geometry("parallel", n_views=180, n_det=183, det_spacing=1.0,
+                         grid=(128, 128), pixel_size=1.0)
+
+
+def unpartnered_fan(grid: tuple[int, int]) -> ScanGeometry:
+    """A fan geometry in which no view serves another (`view_orbits`).
+
+    A uniform fan set that holds angle 0 pairs every theta with -theta, so
+    on a square grid the 9 views 40 degrees apart are nudged off by j*1e-9
+    rad, far past the 1e-12 match. A non-square grid has no symmetry to
+    share, so its 12 views stay uniform.
+    """
+    n_views = 9 if grid[0] == grid[1] else 12
+    base = make_geometry("fan", n_views=n_views, n_det=13, det_spacing=2.2,
+                         grid=grid, pixel_size=1.0, src_dist=25.0, det_dist=25.0)
+    if grid[0] != grid[1]:
+        return base
+    nudged = base.view_angles_full + np.arange(n_views) * 1e-9
+    return ScanGeometry(**{**vars(base), "view_angles_full": nudged})
+
+
+# Geometries and subsets whose orbits hold mirrored views (code >= 4).
+MIRROR_CASES = {
+    "recon-mid-full": (recon_mid_geometry, None),
+    "recon-mid-q32": (recon_mid_geometry, 32),
+    "recon-mid-q7": (recon_mid_geometry, 7),
+    "fan-odd-n_det": (lambda: make_geometry(
+        "fan", n_views=64, n_det=45, det_spacing=2.0, grid=(24, 24),
+        pixel_size=1.0, src_dist=40.0, det_dist=30.0), None),
+    "toy": (toy_geometry, None),
+    "fista-tv-q45": (fista_tv_geometry, 45),
+    "parallel-odd-n_det": (lambda: make_geometry(
+        "parallel", n_views=36, n_det=35, det_spacing=1.0, grid=(24, 24),
+        pixel_size=1.0), None),
+}
+
+
+def mirror_case(name):
+    """(geometry, subset) of a `MIRROR_CASES` entry."""
+    make, q = MIRROR_CASES[name]
+    geom = make()
+    return geom, None if q is None else sparse_subset(geom, q)
 
 
 def rel_err(a: float, b: float, floor: float = 1e-12) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,78 @@ class TestStructural:
         ku = t.leaf(rng.standard_normal((2, 1, 2, 2)))
         u = ad.tconv2x2_up(d, ku, t.leaf(np.zeros(1)))
         assert u.value.shape == (1, 2 * h, 2 * w)
+
+
+def _conv3x3_grads(x, w, b, g):
+    """Output of conv3x3 and the gradients of sum(out * g) by x, w and b."""
+    tape = Tape()
+    leaves = [tape.leaf(a) for a in (x, w, b)]
+    out = ad.conv3x3(*leaves)
+    ad.backward(ad.sum_(out * g))
+    return [out.value] + [leaf.grad for leaf in leaves]
+
+
+def _conv3x3_im2col(x, w, b, g):
+    """The same four arrays from one whole im2col matrix and one GEMM each."""
+    c, h, wd = x.shape
+    o = w.shape[0]
+
+    def conv(a, k):
+        win = np.lib.stride_tricks.sliding_window_view(
+            np.pad(a, ((0, 0), (1, 1), (1, 1))), (3, 3), axis=(1, 2))
+        cols = win.transpose(0, 3, 4, 1, 2).reshape(a.shape[0] * 9, h * wd)
+        return (k.reshape(k.shape[0], -1) @ cols).reshape(k.shape[0], h, wd), cols
+
+    out, cols = conv(x, w)
+    wflip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    dx, _ = conv(np.ascontiguousarray(g), wflip)
+    dw = (g.reshape(o, -1) @ cols.T).reshape(w.shape)
+    return [out + b[:, None, None], dx, dw, g.sum(axis=(1, 2))]
+
+
+class TestBandedConv:
+    """`conv3x3` builds its im2col matrix in row bands of `_BAND_BYTES`."""
+
+    @pytest.fixture
+    def arrays(self, rng):
+        x = rng.standard_normal((6, 20, 11))
+        w = rng.standard_normal((5, 6, 3, 3))
+        b = rng.standard_normal(5)
+        g = rng.standard_normal((5, 20, 11))
+        return x, w, b, g
+
+    def test_one_band_equals_whole_im2col_bitwise(self, arrays):
+        assert 6 * 9 * 20 * 11 * 8 <= ad._BAND_BYTES
+        for got, want in zip(_conv3x3_grads(*arrays), _conv3x3_im2col(*arrays)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_bands_match_one_band(self, arrays, rows, monkeypatch):
+        whole = _conv3x3_grads(*arrays)
+        # rows of 6 channels * 9 taps * 11 columns * 8 bytes
+        monkeypatch.setattr(ad, "_BAND_BYTES", rows * 6 * 9 * 11 * 8)
+        for got, want in zip(_conv3x3_grads(*arrays), whole):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_unrecorded_conv_holds_one_band_at_a_time(self, rng, monkeypatch):
+        x = rng.standard_normal((16, 64, 64))
+        w = rng.standard_normal((4, 16, 3, 3))
+        whole = 16 * 9 * 64 * 64 * 8  # 4.7 MB
+        monkeypatch.setattr(ad, "_BAND_BYTES", whole // 16)
+        tape = Tape()
+        xc, wc, bc = tape.constant(x), tape.constant(w), tape.constant(np.zeros(4))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.conv3x3(xc, wc, bc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # one band is whole / 16; the padded input is about whole / 8
+        assert peak < whole / 2
+        assert not tape.nodes
+        want = _conv3x3_im2col(x, w, np.zeros(4), np.zeros((4, 64, 64)))[0]
+        assert np.abs(out.value - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestFiniteDifferenceOracle:

@@ -27,7 +27,13 @@ from sparsect.metrics import psnr
 from sparsect.phantoms import shepp_logan
 from sparsect.projector import JosephProjector, forward_project
 
-from conftest import dense_from_op
+from conftest import (
+    MIRROR_CASES,
+    dense_from_op,
+    mirror_case,
+    recon_mid_geometry,
+    unpartnered_fan,
+)
 
 
 def test_package_attribute_is_the_submodule():
@@ -139,19 +145,29 @@ class TestBackprojectorOrbits:
         monkeypatch.setattr(fbp_module, "_pixel_taps", counted)
         bp = PixelBackprojector(small_fan)
         bp.apply(np.ones(bp.in_shape))
-        assert built == [0, 1, 2]
+        assert built == [2, 3]
 
     @pytest.mark.parametrize("grid", [(8, 8), (9, 7)])
     def test_views_without_partners_match_reference_bitwise(self, grid):
-        # see test_projector: 9 views on a square grid, 12 on a non-square one
-        n_views = 9 if grid == (8, 8) else 12
-        geom = make_geometry("fan", n_views=n_views, n_det=13, det_spacing=2.2,
-                             grid=grid, pixel_size=1.0, src_dist=25.0,
-                             det_dist=25.0)
+        geom = unpartnered_fan(grid)
         bp = PixelBackprojector(geom)
-        assert len(bp._core.orbits) == n_views
+        assert len(bp._core.orbits) == geom.n_views_full
         rows = np.random.default_rng(10).standard_normal(bp.in_shape)
         assert np.array_equal(bp.apply(rows), _reference_backprojection(bp, rows))
+
+
+class TestBackprojectorMirrorOrbits:
+    """See test_projector.TestMirrorOrbits: the same cases for the taps."""
+
+    @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+    def test_matches_per_view_reference(self, case):
+        bp = PixelBackprojector(*mirror_case(case))
+        assert any(c >= 4 for _, _, codes in bp._core.orbits for c in codes)
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal(bp.in_shape)
+        img = rng.standard_normal(bp.out_shape)
+        assert _rel(bp.apply(rows), _reference_backprojection(bp, rows)) <= 1e-12
+        assert _rel(bp.applyT(img), _reference_backprojection_T(bp, img)) <= 1e-12
 
 
 class TestBackprojectorTapCache:
@@ -180,13 +196,22 @@ class TestBackprojectorTapCache:
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
-    def test_full_view_backprojector_at_256_views_keeps_no_taps(self):
-        geom = make_geometry("fan", n_views=256, n_det=256, det_spacing=2.0,
-                             grid=(128, 128), pixel_size=0.7, src_dist=125.0,
-                             det_dist=125.0)
+    def test_full_view_backprojector_at_256_views_keeps_33_taps(self, monkeypatch):
+        geom = recon_mid_geometry()
+        built = []
+
+        def counted(geom, view):
+            built.append(view)
+            return _pixel_taps(geom, view)
+
+        monkeypatch.setattr(fbp_module, "_pixel_taps", counted)
         bp = PixelBackprojector(geom)
         bp.apply(np.ones(bp.in_shape))
-        assert not bp._core.admitted
+        assert bp._core.admitted
+        assert len(built) == 33
+        assert built == [rep for rep, _, _ in bp._core.orbits]
+        bp.apply(np.ones(bp.in_shape))
+        assert len(built) == 33
 
 
 class TestFbpOperator:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from sparsect.geometry import (
     sparse_subset,
     view_orbits,
 )
+
+from conftest import fista_tv_geometry
 
 
 class TestPresets:
@@ -128,20 +132,27 @@ class TestSubsets:
 
 class TestViewOrbits:
     def test_fan_full_set_forms_quarter_turn_orbits(self, small_fan):
+        # 12 views 30 degrees apart: view 0's orbit holds its quarter turns,
+        # view 1's (30 degrees) also the mirror images 90 - 30 + k*90
+        # degrees. Each is served by its lowest view whose rays run along
+        # the rows: view 3 (90 degrees) and view 2 (60 degrees).
         orbits = view_orbits(small_fan, full_subset(small_fan).indices)
-        assert [rep for rep, _, _ in orbits] == [0, 1, 2]
-        for rep, positions, turns in orbits:
-            assert positions == [rep, rep + 3, rep + 6, rep + 9]
-            assert turns == [0, 1, 2, 3]
+        assert orbits == [
+            (2, [1, 2, 4, 5, 7, 8, 10, 11], [4, 0, 5, 1, 6, 2, 7, 3]),
+            (3, [0, 3, 6, 9], [3, 0, 1, 2]),
+        ]
 
     def test_representatives_come_from_the_full_set(self, small_parallel):
-        # views 2, 4, 7, 9 of 12 over pi; 7 and 9 sit a quarter turn past
-        # views 1 and 3, which the subset does not hold
+        # views 0, 2, 4, 7, 9 of 12 over pi, 15 degrees apart, each served by
+        # a partner whose rays run along the rows (45 to 135 degrees): view
+        # 0 by view 6 (90 degrees) and view 7 (105) by view 5 (75), which
+        # the subset does not hold; view 2 (30) by view 4 (60), its mirror
+        # about the diagonal; views 4 and 9 by themselves
         sub = sparse_subset(small_parallel, 5)
         orbits = view_orbits(small_parallel, sub.indices)
         got = {rep: (p, t) for rep, p, t in orbits}
-        assert got == {0: ([0], [0]), 1: ([3], [1]), 2: ([1], [0]),
-                       3: ([4], [1]), 4: ([2], [0])}
+        assert got == {4: ([1, 2], [4, 0]), 5: ([3], [5]), 6: ([0], [4]),
+                       9: ([4], [0])}
 
     def test_partners_need_to_match_within_tolerance(self, small_fan):
         nudged = small_fan.view_angles_full + np.arange(12) * 1e-9
@@ -149,6 +160,28 @@ class TestViewOrbits:
         orbits = view_orbits(g, full_subset(g).indices)
         assert len(orbits) == 12
         assert all(t == [0] for _, _, t in orbits)
+
+    def test_parallel_views_pair_within_the_half_turn(self):
+        # fista-tv's 45 views are 4 degrees apart over pi. View theta shares
+        # a table with theta +- 90, 90 - theta, 180 - theta and 270 - theta
+        # wherever those lie in [0, 180), so the representatives are the
+        # even views of [46, 90] degrees, whose rays run along the rows;
+        # half of them are full-set views the subset does not hold.
+        g = fista_tv_geometry()
+        orbits = view_orbits(g, sparse_subset(g, 45).indices)
+        assert [rep for rep, _, _ in orbits] == list(range(46, 91, 2))
+        assert sorted(p for _, positions, _ in orbits for p in positions) == list(range(45))
+
+
+class TestFingerprint:
+    def test_vars_copy_after_the_fingerprint_was_read(self, small_fan):
+        fingerprint = small_fan.fingerprint
+        assert set(vars(small_fan)) == {f.name for f in dataclasses.fields(ScanGeometry)}
+        twin = ScanGeometry(**vars(small_fan))
+        assert twin.fingerprint == fingerprint
+        nudged = small_fan.view_angles_full + 1e-9
+        moved = ScanGeometry(**{**vars(small_fan), "view_angles_full": nudged})
+        assert moved.fingerprint != fingerprint
 
 
 class TestPerturbation:

@@ -16,18 +16,9 @@ from sparsect.fbp import FbpOperator, PixelBackprojector, ViewUpsampler
 from sparsect.geometry import ViewSubset, make_geometry, sparse_subset
 from sparsect.projector import _CACHE_LIMIT_BYTES, _STORE, JosephProjector, _Store
 
+from conftest import fista_tv_geometry, recon_mid_geometry
+
 OPERATORS = [JosephProjector, PixelBackprojector, FbpOperator, ViewUpsampler]
-
-
-def recon_mid_geometry():
-    return make_geometry("fan", n_views=256, n_det=256, det_spacing=2.0,
-                         grid=(128, 128), pixel_size=0.7, src_dist=125.0,
-                         det_dist=125.0)
-
-
-def fista_tv_geometry():
-    return make_geometry("parallel", n_views=180, n_det=183, det_spacing=1.0,
-                         grid=(128, 128), pixel_size=1.0)
 
 
 @pytest.mark.parametrize("cls", OPERATORS, ids=lambda c: c.__name__)
@@ -67,20 +58,24 @@ def test_dropped_operator_leaves_no_cycles(cls, small_fan):
 
 
 class TestCacheAdmission:
-    """Tables are kept when 32 bytes per tap over every view of the subset
-    fit `_CACHE_LIMIT_BYTES`, and then only the orbit representatives'."""
+    """Tables are kept when 32 bytes per tap over the subset's orbit
+    representatives fit `_CACHE_LIMIT_BYTES`."""
 
     @pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector])
     def test_recon_mid_sparse_subset_keeps_its_representatives(self, cls):
         op = cls(recon_mid_geometry(), sparse_subset(recon_mid_geometry(), 32))
         op.apply(np.ones(op.in_shape))
         reps = [rep for rep, _, _ in op._core.orbits]
-        assert len(reps) == 8
+        assert len(reps) == 5
         assert sorted(stored_views(op)) == reps
 
     @pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector])
-    def test_recon_mid_full_view_set_keeps_nothing(self, cls):
-        assert not cls(recon_mid_geometry())._core.admitted
+    def test_recon_mid_full_view_set_keeps_33_tables(self, cls):
+        op = cls(recon_mid_geometry())
+        op.apply(np.ones(op.in_shape))
+        reps = [rep for rep, _, _ in op._core.orbits]
+        assert len(reps) == 33
+        assert sorted(stored_views(op)) == reps
 
     @pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector])
     def test_fista_tv_subset_is_cached(self, cls):
