@@ -6,13 +6,16 @@ kernel evaluated via FFT on rows zero-padded to the next power of two at or
 above twice the detector count; no apodization window is applied.
 
 The backprojector and the view upsampler run on the projector's two-tap
-core (`projector._gather`, `projector._scatter`). The backprojector supplies
-only its per-view detector taps (`_pixel_taps`); `projector._OrbitCore`
-builds them once per orbit of views under the symmetries of the square,
-keeps them in the process-wide table store when they are admitted, and runs
-the orbit loops over turned or transposed copies of the image. The
-upsampler supplies one flat table over the full view set, with the parallel
-beam's wrap-around detector flips folded into its indices.
+core. The backprojector supplies only its per-view detector taps
+(`_pixel_taps`), which `_pixel_table` turns into the core's pixel form: one
+index per pixel into the zero-padded detector row, and two weights.
+`projector._OrbitCore` builds them once per orbit of views under the
+symmetries of the square, keeps them in the process-wide table store when
+they are admitted, and runs the orbit loops over turned or transposed
+copies of the image: `apply` gathers through the taps, `applyT` scatters.
+The upsampler supplies one flat table over the full view set, with the
+parallel beam's wrap-around detector flips folded into its indices, and
+gathers and scatters through it (`projector._gather`, `projector._scatter`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .geometry import (
     _view_subset,
     full_subset,
 )
-from .projector import _gather, _OrbitCore, _scatter
+from .projector import _gather, _OrbitCore, _scatter, _two_tap_pixel_form
 
 
 def _pad_length(n_det: int) -> int:
@@ -78,8 +81,8 @@ class RampFilter:
 def _pixel_taps(geom: ScanGeometry, view: int) -> list:
     """Detector taps and pixel weights of full-view index `view`.
 
-    The `projector._OrbitCore` builder: one group covering every detector
-    cell, with (m1*m2,) index and weight arrays into the row.
+    One group covering every detector cell, with (m1*m2,) index and weight
+    arrays into the row.
     """
     m1, m2 = geom.grid
     # pixel centre coordinates, broadcast over the (m1, m2) grid
@@ -110,6 +113,15 @@ def _pixel_taps(geom: ScanGeometry, view: int) -> list:
     return [(slice(None), np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1), w0, w1)]
 
 
+def _pixel_table(geom: ScanGeometry, view: int):
+    """`_pixel_taps` of `view` in the pixel form of `projector._OrbitCore`.
+
+    The `_OrbitCore` builder: one index per pixel and the two weights.
+    """
+    [(_, *taps)] = _pixel_taps(geom, view)
+    return _two_tap_pixel_form(*taps)
+
+
 class PixelBackprojector:
     """Interpolating backprojection over the subset's views.
 
@@ -121,7 +133,7 @@ class PixelBackprojector:
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset | None = None):
         self.geom = geom
-        self._core = _OrbitCore(geom, subset, _pixel_taps, geom.grid[0] * geom.grid[1])
+        self._core = _OrbitCore(geom, subset, _pixel_table, True)
         self.subset = self._core.subset
         self.in_shape = self._core.rows_shape
         self.out_shape = geom.grid
@@ -130,7 +142,7 @@ class PixelBackprojector:
         return self._core.rows_to_image(rows)
 
     def applyT(self, img: np.ndarray) -> np.ndarray:
-        return self._core.image_to_rows(img, transpose=True)
+        return self._core.image_to_rows(img)
 
 
 class FbpOperator:

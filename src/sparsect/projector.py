@@ -6,27 +6,36 @@ ray passes between (Joseph-style sampling).
 
 The projector, the backprojector (fbp.PixelBackprojector) and the view
 upsampler (fbp.ViewUpsampler) are one kind of operator: each output sample
-is w0*src[i0] + w1*src[i1], and the transpose scatters with the same index
-and weight tables, so each pair is an exact transpose to rounding. `_gather`
-and `_scatter` are that pair. `_OrbitCore` runs it over a view subset for the
-projector and the backprojector: it checks the subset and each input against
-the scan (`geometry._view_subset`, `geometry._checked`), caches the tables,
-and owns the two orbit loops (image -> rows and rows -> image). Tables are
-built once per orbit of views under the 8 symmetries of the square
-(`geometry.view_orbits`): on a square grid, views a quarter turn apart or
-mirror images about the grid's diagonal share one table, and each is
-gathered from (or accumulated into) a turned or transposed copy of the
-image, a mirrored view with its detector row reversed. Other grids build one
-table per view. Each operator supplies only a module-level builder of its
-tables.
+is a weighted sum of a few input samples, and each has an exact transpose
+to rounding. The upsampler gathers through one flat two-tap table
+(`_gather`) and scatters through it (`_scatter`). The projector and the
+backprojector run on `_OrbitCore`: it checks the subset and each input
+against the scan (`geometry._view_subset`, `geometry._checked`), caches the
+tables, and owns the two orbit loops (image -> rows and rows -> image).
+Tables are built once per orbit of views under the 8 symmetries of the
+square (`geometry.view_orbits`): on a square grid, views a quarter turn
+apart or mirror images about the grid's diagonal share one table, and each
+is read from (or accumulated into) a turned or transposed copy of the
+image, a mirrored view with its detector row reversed. Other grids build
+one table per view. Each operator supplies only a module-level builder of
+its tables.
 
-Kept tables live in one process-wide store (`_STORE`), keyed by builder,
-geometry fingerprint and representative view, so every operator over an
-equal geometry reads the same tables, whoever built them first.
+A table has one of two forms, named after what each entry computes. A
+row-form table (the projector's) gives each detector cell its taps into the
+image; a pixel-form table (the backprojector's) gives each pixel its taps
+into the detector row. Each direction gathers through the form whose
+entries it computes. A kept projector table derives its pixel form once,
+so the projector's transpose gathers too; an unkept one scatters.
+
+Kept tables live in one process-wide store (`_STORE`), keyed by what they
+are (builder or derivation), geometry fingerprint and representative view,
+so every operator over an equal geometry reads the same tables, whoever
+built them first.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 
@@ -44,13 +53,16 @@ from .geometry import (
 )
 
 # Byte budget of the process-wide `_STORE`, and the admission limit of one
-# `_OrbitCore`: its tables are kept across calls only when an estimate over
-# its orbit representatives (32 bytes per tap: two int64 indices and two
-# float64 weights) fits, since large geometries would otherwise pin
-# gigabytes. Without admission, each call rebuilds one table per orbit, which
-# costs about ten times the gather that uses it. At 128x128 with 256 fan
-# views the full view set has 33 representatives: about 33 MiB of projector
-# tables and 17 MiB of backprojector taps, which every subset shares.
+# `_OrbitCore`: its tables are kept across calls only when the bytes they
+# would hold over its orbit representatives fit (`_table_bytes` for the
+# projector: 24 per tap of a ray that crosses the grid, with a bound on the
+# pixel form its transpose adds; 24 per pixel for the backprojector), since
+# large geometries would otherwise pin gigabytes. Without admission, each
+# call rebuilds one table per orbit, which costs about ten times the gather
+# that uses it. At 128x128 with 256 fan views the full view set has 33
+# representatives: 12.5 MiB of projector tables (33 MiB counted with the
+# bound on their pixel forms, which hold 16.4 MiB) and 12.4 MiB of
+# backprojector tables, which every subset shares.
 _CACHE_LIMIT_BYTES = 64 * 2**20
 
 
@@ -115,6 +127,89 @@ def _scatter(vals, i0, i1, w0, w1, out):
     return out
 
 
+def _first_tap(i0, i1, w1, stride: int):
+    """Unclipped index of the first of two taps one `stride` apart.
+
+    Builders clip both taps into the source, giving an outside tap zero
+    weight. Where both land on one sample, only a first tap that fell off
+    the low end leaves the second one weighted; there the first tap sits a
+    stride below it, in the zero padding of the source.
+    """
+    return np.where((i0 == i1) & (w1 != 0), i0 - stride, i0)
+
+
+def _two_tap_pixel_form(i0, i1, w0, w1) -> tuple:
+    """Pixel form (see `_OrbitCore`) of clipped taps i0 and i1 = i0 + 1 into a row."""
+    return _first_tap(i0, i1, w1, 1) + 1, w0, w1
+
+
+def _image_pad(grid) -> int:
+    """Zeros at each end of the flat image that row-form tables index: one row."""
+    return grid[1]
+
+
+def _gather_rows(src, groups, row) -> None:
+    """Row-form gather: fills the cells of `row` from the padded flat image."""
+    for cells, idx, stride, w0, w1 in groups:
+        row[cells] = (w0 * src.take(idx) + w1 * src[stride:].take(idx)).sum(axis=0)
+
+
+def _scatter_rows(row, groups, acc) -> None:
+    """Transpose of `_gather_rows`: adds the scatter of `row` into the padded `acc`."""
+    for cells, idx, stride, w0, w1 in groups:
+        vals, flat = row[cells], idx.ravel()
+        acc += np.bincount(flat, (w0 * vals).ravel(), minlength=acc.size)
+        acc[stride:] += np.bincount(flat, (w1 * vals).ravel(), minlength=acc.size - stride)
+
+
+def _gather_pixels(row, table):
+    """Pixel-form gather: the sum over k of w_k * row[j0 + k], from the padded
+    row, for table = (j0, w_0, w_1, ...)."""
+    j0 = table[0]
+    vals = row.take(j0)
+    vals *= table[1]
+    for k in range(1, len(table) - 1):
+        tap = row[k:].take(j0)
+        tap *= table[k + 1]
+        vals += tap
+    return vals
+
+
+def _scatter_pixels(vals, table, row) -> None:
+    """Transpose of `_gather_pixels`: adds the scatter of `vals` into the padded `row`."""
+    j0 = table[0]
+    acc = np.bincount(j0, table[1] * vals, minlength=row.size)
+    for k in range(1, len(table) - 1):
+        acc[k:] += np.bincount(j0, table[k + 1] * vals, minlength=row.size - k)
+    row += acc
+
+
+def _transposed(groups, n_pixels: int, n_cells: int, pad: int) -> tuple:
+    """Pixel form (j0, w_0, ..., w_K-1) of the transpose of row-form `groups`.
+
+    K is the widest span of cells that meet one pixel. A ray meets a pixel
+    at most once, at the step of the pixel's plane and through one of its
+    two taps, so each nonzero weight is one entry of some w_k.
+    """
+    parts = []
+    for cells, idx, stride, w0, w1 in groups:
+        ray = np.arange(n_cells)[cells]
+        for shift, w in ((-pad, w0), (stride - pad, w1)):
+            step, col = np.nonzero(w)
+            parts.append((idx[step, col] + shift, ray[col], w[step, col]))
+    lo = np.full(n_pixels, n_cells)
+    hi = np.full(n_pixels, -1)
+    for pix, cell, _ in parts:
+        np.minimum.at(lo, pix, cell)
+        np.maximum.at(hi, pix, cell)
+    span = max(int((hi - lo).max()) + 1, 1)
+    j0 = np.clip(lo, 0, n_cells - span)
+    w = np.zeros((span, n_pixels))
+    for pix, cell, wt in parts:
+        w[cell - j0[pix], pix] = wt
+    return (j0 + 1, *w)
+
+
 def _turned(x, code: int) -> np.ndarray:
     """x under the symmetry of turn code `code` (`geometry.view_orbits`)."""
     x = np.rot90(x, code % 4)
@@ -126,72 +221,123 @@ def _unturned(z, code: int) -> np.ndarray:
     return np.rot90(z.T if code >= 4 else z, -(code % 4))
 
 
+def _flat(img, pad: int) -> np.ndarray:
+    """img flattened, with `pad` zeros at each end."""
+    if not pad:
+        return img.ravel()
+    out = np.zeros(img.size + 2 * pad)
+    out[pad:-pad].reshape(img.shape)[...] = img
+    return out
+
+
 class _OrbitCore:
     """Orbit loops and table lookup of a two-tap operator over a view subset.
 
-    `build(geom, view)` returns the tables of full-view index `view` as a
-    list of (sel, i0, i1, w0, w1) groups, where `sel` picks the detector
-    cells of the row the group covers. The operator's `apply` is the gather
-    direction of its tables and `applyT` the scatter direction. Tables that
-    scatter into rows (the backprojector's) must select cells by a slice,
-    since the scatter adds into a view of the output row. A mirrored view
+    `build(geom, view)` returns the table of full-view index `view` in the
+    form `pixel_form` names:
+
+    - row form: a list of (cells, idx, stride, w0, w1) groups. The cells
+      `cells` selects read w0*src[idx] + w1*src[idx + stride], summed over
+      the steps of the (n_steps, n_cells) tables, from the flat image with
+      `_image_pad` zeros at each end.
+    - pixel form: a tuple (j0, w_0, ..., w_K-1) of (n_pixels,) arrays.
+      Pixel p reads w_k[p] * row[j0[p] + k] over k < K, from the detector
+      row with one zero at each end.
+
+    `image_to_rows` and `rows_to_image` gather through a table whose
+    entries they compute and scatter through the other. A mirrored view
     (code >= 4) reads and writes its row reversed. An admitted core keeps
-    its tables in `_STORE`; any other rebuilds them per call.
+    its tables in `_STORE`, where a row-form core also keeps their pixel
+    forms the first time `rows_to_image` runs. Any other core rebuilds its
+    tables per call, and a row-form one scatters through them in
+    `rows_to_image`: deriving the pixel forms on each call takes about
+    twice as long as that scatter at 256x256 with 45 parallel views, and as
+    long at 512x512 with 64 fan views.
     """
 
-    def __init__(self, geom, subset, build, taps_per_view: float):
+    def __init__(self, geom, subset, build, pixel_form: bool):
         self.geom = geom
         self.subset = _view_subset(geom, subset)
         self.orbits = view_orbits(geom, self.subset.indices)
         self.rows_shape = (self.subset.q1, geom.n_det)
         self._build = build
+        self._pixel_form = pixel_form
         self._fingerprint = geom.fingerprint
-        self.admitted = len(self.orbits) * taps_per_view * 32 <= _CACHE_LIMIT_BYTES
+        if pixel_form:
+            # the two-tap pixel form: one index and two weights per pixel
+            need = len(self.orbits) * 24 * geom.grid[0] * geom.grid[1]
+        else:
+            need = sum(_table_bytes(geom, rep) for rep, _, _ in self.orbits)
+        self.admitted = need <= _CACHE_LIMIT_BYTES
 
-    def tables(self, view: int) -> list:
+    def tables(self, view: int):
         build, geom = self._build, self.geom
         if not self.admitted:
             return build(geom, view)
         return _STORE.get((build, self._fingerprint, view), lambda: build(geom, view))
 
-    def image_to_rows(self, x, transpose: bool = False) -> np.ndarray:
-        x = _checked(x, self.geom.grid, "image")
-        flats = {}
-        out = np.zeros(self.rows_shape)
-        for rep, positions, codes in self.orbits:
-            groups = self.tables(rep)
-            for vi, code in zip(positions, codes):
-                if code not in flats:
-                    flats[code] = _turned(x, code).ravel()
-                flat = flats[code]
-                row = out[vi, ::-1] if code >= 4 else out[vi]
-                for sel, i0, i1, w0, w1 in groups:
-                    if transpose:
-                        _scatter(flat, i0, i1, w0, w1, row[sel])
-                    else:
-                        row[sel] = _gather(flat, i0, i1, w0, w1)
-        return out
+    def pixel_tables(self, view: int):
+        """The pixel form of `view`'s table, derived once from a row form."""
+        if self._pixel_form:
+            return self.tables(view)
+        grid = self.geom.grid
 
-    def rows_to_image(self, y, transpose: bool = False) -> np.ndarray:
+        def derive():
+            return _transposed(self.tables(view), grid[0] * grid[1], self.geom.n_det,
+                               _image_pad(grid))
+
+        return _STORE.get(((self._build, _transposed), self._fingerprint, view), derive)
+
+    def image_to_rows(self, x) -> np.ndarray:
+        x = _checked(x, self.geom.grid, "image")
+        scatter = self._pixel_form
+        pad = 0 if scatter else _image_pad(self.geom.grid)
+        q1, n = self.rows_shape
+        out = np.zeros((q1, n + 2) if scatter else (q1, n))
+        srcs = {}
+        for rep, positions, codes in self.orbits:
+            table = self.tables(rep)
+            for vi, code in zip(positions, codes):
+                if code not in srcs:
+                    srcs[code] = _flat(_turned(x, code), pad)
+                row = out[vi, ::-1] if code >= 4 else out[vi]
+                if scatter:
+                    _scatter_pixels(srcs[code], table, row)
+                else:
+                    _gather_rows(srcs[code], table, row)
+        return out[:, 1:-1].copy() if scatter else out
+
+    def rows_to_image(self, y) -> np.ndarray:
         y = _checked(y, self.rows_shape, "sinogram")
         grid = self.geom.grid
         m = grid[0] * grid[1]
+        gather = self._pixel_form or self.admitted
+        if gather:
+            rows, pad = np.zeros((y.shape[0], y.shape[1] + 2)), 0
+            rows[:, 1:-1] = y
+        else:
+            rows, pad = y, _image_pad(grid)
+        flipped = rows[:, ::-1].copy()  # contiguous rows of the mirrored views
         accs: dict[int, np.ndarray] = {}
         for rep, positions, codes in self.orbits:
-            groups = self.tables(rep)
+            table = self.pixel_tables(rep) if gather else self.tables(rep)
             for vi, code in zip(positions, codes):
                 if code not in accs:
-                    accs[code] = np.zeros(m)
+                    accs[code] = np.zeros(m + 2 * pad)
                 acc = accs[code]
-                row = y[vi, ::-1] if code >= 4 else y[vi]
-                for sel, i0, i1, w0, w1 in groups:
-                    if transpose:
-                        _scatter(row[sel], i0, i1, w0, w1, acc)
-                    else:
-                        acc += _gather(row[sel], i0, i1, w0, w1)
-        out = accs.pop(0, np.zeros(m)).reshape(grid)
-        for code, acc in accs.items():
-            out += _unturned(acc.reshape(grid), code)
+                row = flipped[vi] if code >= 4 else rows[vi]
+                if gather:
+                    acc += _gather_pixels(row, table)
+                else:
+                    _scatter_rows(row, table, acc)
+        images = {code: acc[pad:pad + m].reshape(grid) for code, acc in accs.items()}
+        out = images.pop(0, None)
+        if out is None:
+            out = np.zeros(grid)
+        elif pad:
+            out = out.copy()  # not a view into the padded accumulator
+        for code, img in images.items():
+            out += _unturned(img, code)
         return out
 
 
@@ -264,10 +410,84 @@ def _view_rays(geom: ScanGeometry, angle: float):
     return p_col, p_row, d_col, d_row
 
 
+def _crossing(p_col, p_row, d_col, d_row, m1, m2) -> slice:
+    """Cells from the first to the last ray with a nonzero Joseph weight.
+
+    A ray has one where its minor coordinate at some step lies in
+    (-1, n_minor). That coordinate is monotone in the step, in floating
+    point too, and moves by at most about one per step, so a ray misses
+    the grid exactly when its first and last steps fall on one side of
+    that interval. The end coordinates use the arithmetic of
+    `_joseph_tables`, so this agrees with its weights bit for bit.
+    """
+    col_major = np.abs(d_col) >= np.abs(d_row)
+    hit = np.zeros(p_col.size, dtype=bool)
+    for sel, (pa, pb, da, db), n_major, n_minor in (
+        (col_major, (p_col, p_row, d_col, d_row), m2, m1),
+        (~col_major, (p_row, p_col, d_row, d_col), m1, m2),
+    ):
+        first, last = (pb[sel] + ((s - pa[sel]) / da[sel]) * db[sel]
+                       for s in (0.0, n_major - 1.0))
+        hit[sel] = (np.maximum(first, last) > -1) & (np.minimum(first, last) < n_minor)
+    rays = np.flatnonzero(hit)
+    return slice(int(rays[0]), int(rays[-1]) + 1) if rays.size else slice(0, 0)
+
+
 def _ray_tables(geom: ScanGeometry, view: int) -> list:
-    """Joseph tables of full-view index `view` (the `_OrbitCore` builder)."""
+    """Joseph tables of full-view index `view`, in the row form of `_OrbitCore`.
+
+    The `_OrbitCore` builder. Only the rays that cross the grid, one slice
+    of cells, reach `_joseph_tables`. Each group keeps one index per tap,
+    and selects its cells by a slice wherever they are consecutive.
+    """
+    m1, m2 = geom.grid
     rays = _view_rays(geom, float(geom.view_angles_full[view]))
-    return _joseph_tables(*rays, *geom.grid, geom.pixel_size)
+    crossing = _crossing(*rays, m1, m2)
+    rays = [r[crossing] for r in rays]
+    col_major = np.abs(rays[2]) >= np.abs(rays[3])
+    groups = []
+    for sel, lin0, lin1, w0, w1 in _joseph_tables(*rays, m1, m2, geom.pixel_size):
+        cells = np.arange(crossing.start, crossing.stop)[sel]
+        stride = m2 if col_major[sel][0] else 1
+        if cells[-1] - cells[0] == cells.size - 1:
+            cells = slice(int(cells[0]), int(cells[-1]) + 1)
+        idx = _first_tap(lin0, lin1, w1, stride) + _image_pad(geom.grid)
+        groups.append((cells, idx, stride, w0, w1))
+    return groups
+
+
+def _pixel_span(geom: ScanGeometry) -> int:
+    """Bound on the detector cells the Joseph taps of one pixel span in a view.
+
+    A ray meets a pixel where it crosses the pixel's plane within a window
+    two pixels wide. Parallel rays through the window are at most that far
+    apart. Fan rays are magnified by at most D / (s - r), with D the
+    source-detector distance, s the source distance and r the grid's
+    half-diagonal plus a pixel, and spread on the flat detector by at most
+    1 / cos^2 of the widest fan angle that meets the grid.
+    """
+    width = 2.0 * geom.pixel_size
+    if geom.beam != PARALLEL:
+        s = geom.src_dist
+        r = geom.pixel_size * (0.5 * math.hypot(*geom.grid) + 1.0)
+        if s <= r:
+            return geom.n_det
+        width *= (s + geom.det_dist) / (s - r) / (1.0 - (r / s) ** 2)
+    return min(math.ceil(width / geom.det_spacing), geom.n_det)
+
+
+def _table_bytes(geom: ScanGeometry, view: int) -> int:
+    """Bytes a kept projector table of `view` and its pixel form hold at most.
+
+    24 per tap of the crossing rays (one index, two weights), and 8 per
+    weight and index of the pixel form, with K bounded by `_pixel_span`.
+    """
+    m1, m2 = geom.grid
+    rays = _view_rays(geom, float(geom.view_angles_full[view]))
+    cells = _crossing(*rays, m1, m2)
+    col_major = np.abs(rays[2][cells]) >= np.abs(rays[3][cells])
+    taps = int(np.where(col_major, m2, m1).sum())
+    return 24 * taps + 8 * (_pixel_span(geom) + 1) * m1 * m2
 
 
 class JosephProjector:
@@ -279,9 +499,7 @@ class JosephProjector:
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset | None = None):
         self.geom = geom
-        m1, m2 = geom.grid
-        # one tap per cell per step; a ray steps through about (m1 + m2) / 2 planes
-        self._core = _OrbitCore(geom, subset, _ray_tables, (m1 + m2) * geom.n_det / 2)
+        self._core = _OrbitCore(geom, subset, _ray_tables, False)
         self.subset = self._core.subset
         self.in_shape = geom.grid
         self.out_shape = self._core.rows_shape
@@ -290,7 +508,7 @@ class JosephProjector:
         return self._core.image_to_rows(x)
 
     def applyT(self, y: np.ndarray) -> np.ndarray:
-        return self._core.rows_to_image(y, transpose=True)
+        return self._core.rows_to_image(y)
 
 
 def forward_project(x: Image, subset: ViewSubset | None = None) -> Sinogram:

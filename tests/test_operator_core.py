@@ -58,8 +58,8 @@ def test_dropped_operator_leaves_no_cycles(cls, small_fan):
 
 
 class TestCacheAdmission:
-    """Tables are kept when 32 bytes per tap over the subset's orbit
-    representatives fit `_CACHE_LIMIT_BYTES`."""
+    """Tables are kept when the bytes they would hold over the subset's
+    orbit representatives fit `_CACHE_LIMIT_BYTES`."""
 
     @pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector])
     def test_recon_mid_sparse_subset_keeps_its_representatives(self, cls):
@@ -118,9 +118,10 @@ class TestTableStore:
 
     def test_cycling_subsets_past_the_budget_stays_within_it(self):
         # A non-square grid gives every view its own table: four disjoint
-        # 30-view subsets are admitted one by one, but hold about 90 MB.
-        geom = make_geometry("parallel", n_views=120, n_det=183, det_spacing=1.0,
-                             grid=(128, 127), pixel_size=1.0)
+        # 30-view subsets are admitted one by one, but hold about 90 MB of
+        # tables, trimmed to the rays that cross the grid.
+        geom = make_geometry("parallel", n_views=120, n_det=229, det_spacing=1.0,
+                             grid=(160, 159), pixel_size=1.0)
         subsets = [ViewSubset(np.arange(k, 120, 4), 30) for k in range(4)]
         x = np.ones(geom.grid)
         for _ in range(2):
