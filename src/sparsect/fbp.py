@@ -13,9 +13,9 @@ index per pixel into the zero-padded detector row, and two weights.
 symmetries of the square, keeps them in the process-wide table store when
 they are admitted, and runs the orbit loops over turned or transposed
 copies of the image: `apply` gathers through the taps, `applyT` scatters.
-The upsampler supplies one flat table over the full view set, with the
-parallel beam's wrap-around detector flips folded into its indices, and
-gathers and scatters through it (`projector._gather`, `projector._scatter`).
+The upsampler interpolates whole detector rows: each full view reads two
+consecutive rows of the subset's sinogram, extended by one wrap-around row
+at each end, with one weight per row.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .geometry import (
     _view_subset,
     full_subset,
 )
-from .projector import _gather, _OrbitCore, _scatter, _two_tap_pixel_form
+from .projector import _OrbitCore, _two_tap_pixel_form
 
 
 def _pad_length(n_det: int) -> int:
@@ -196,6 +196,13 @@ class ViewUpsampler:
     Exact on views the subset contains. Fan sinograms wrap at 2*pi; parallel
     sinograms wrap at pi with the detector axis reversed, using the identity
     between opposing parallel rays.
+
+    The source is extended by the subset's last row before its first and
+    its first row after its last, both reversed for the parallel beam. Full
+    view v reads rows lo[v] and lo[v] + 1 of that extended source, with
+    weights 1 - w[v] and w[v]. `applyT` multiplies by the (q1 + 2, n_full)
+    interpolation matrix, then folds the two wrap rows back onto the rows
+    they copy.
     """
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset):
@@ -208,30 +215,32 @@ class ViewUpsampler:
         sparse = geom.view_angles_full[subset.indices]
         # Extend one sample beyond each end so every full angle has a bracket.
         ext = np.concatenate(([sparse[-1] - period], sparse, [sparse[0] + period]))
-        src = np.concatenate(([q1 - 1], np.arange(q1), [0]))
-        flip = np.zeros(q1 + 2, dtype=bool)
-        flip[0] = flip[-1] = geom.beam == PARALLEL
         full = geom.view_angles_full
-        hi = np.searchsorted(ext, full, side="right")
-        lo = hi - 1
-        w = (full - ext[lo]) / (ext[hi] - ext[lo])
-        # One flat table into the flattened sparse sinogram, with the wrap
-        # flips folded into its detector indices.
-        det = np.arange(n)
-        i0, i1 = (
-            (src[e][:, None] * n + np.where(flip[e][:, None], det[::-1], det)).ravel()
-            for e in (lo, hi)
-        )
-        self._taps = (i0, i1, np.repeat(1.0 - w, n), np.repeat(w, n))
+        lo = np.searchsorted(ext, full, side="right") - 1
+        w = (full - ext[lo]) / (ext[lo + 1] - ext[lo])
+        self._lo, self._w0, self._w1 = lo, (1.0 - w)[:, None], w[:, None]
+        self._wrap = slice(None, None, -1 if geom.beam == PARALLEL else 1)
+        self._matrix = np.zeros((q1 + 2, full.size))
+        self._matrix[lo, np.arange(full.size)] = 1.0 - w
+        self._matrix[lo + 1, np.arange(full.size)] = w
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         y = _checked(y, self.in_shape, "sinogram")
-        return _gather(y.ravel(), *self._taps).reshape(self.out_shape)
+        ext = np.concatenate((y[-1:, self._wrap], y, y[:1, self._wrap]))
+        out = ext.take(self._lo, axis=0)
+        out *= self._w0
+        tap = ext[1:].take(self._lo, axis=0)
+        tap *= self._w1
+        out += tap
+        return out
 
     def applyT(self, y_full: np.ndarray) -> np.ndarray:
         y_full = _checked(y_full, self.out_shape, "sinogram")
-        rows = _scatter(y_full.ravel(), *self._taps, np.zeros(math.prod(self.in_shape)))
-        return rows.reshape(self.in_shape)
+        ext = self._matrix @ y_full
+        rows = ext[1:-1]
+        rows[-1] += ext[0, self._wrap]
+        rows[0] += ext[-1, self._wrap]
+        return rows
 
 
 def upsample_views(y: Sinogram) -> Sinogram:

@@ -7,18 +7,17 @@ ray passes between (Joseph-style sampling).
 The projector, the backprojector (fbp.PixelBackprojector) and the view
 upsampler (fbp.ViewUpsampler) are one kind of operator: each output sample
 is a weighted sum of a few input samples, and each has an exact transpose
-to rounding. The upsampler gathers through one flat two-tap table
-(`_gather`) and scatters through it (`_scatter`). The projector and the
-backprojector run on `_OrbitCore`: it checks the subset and each input
-against the scan (`geometry._view_subset`, `geometry._checked`), caches the
-tables, and owns the two orbit loops (image -> rows and rows -> image).
-Tables are built once per orbit of views under the 8 symmetries of the
-square (`geometry.view_orbits`): on a square grid, views a quarter turn
-apart or mirror images about the grid's diagonal share one table, and each
-is read from (or accumulated into) a turned or transposed copy of the
-image, a mirrored view with its detector row reversed. Other grids build
-one table per view. Each operator supplies only a module-level builder of
-its tables.
+to rounding. The upsampler interpolates whole detector rows on its own.
+The projector and the backprojector run on `_OrbitCore`: it checks the
+subset and each input against the scan (`geometry._view_subset`,
+`geometry._checked`), caches the tables, and owns the two orbit loops
+(image -> rows and rows -> image). Tables are built once per orbit of
+views under the 8 symmetries of the square (`geometry.view_orbits`): on a
+square grid, views a quarter turn apart or mirror images about the grid's
+diagonal share one table, and each is read from (or accumulated into) a
+turned or transposed copy of the image, a mirrored view with its detector
+row reversed. Other grids build one table per view. Each operator supplies
+only a module-level builder of its tables.
 
 A table has one of two forms, named after what each entry computes. A
 row-form table (the projector's) gives each detector cell its taps into the
@@ -35,7 +34,6 @@ built them first.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 
@@ -53,15 +51,17 @@ from .geometry import (
 )
 
 # Byte budget of the process-wide `_STORE`, and the admission limit of one
-# `_OrbitCore`: its tables are kept across calls only when the bytes they
-# would hold over its orbit representatives fit (`_table_bytes` for the
-# projector: 24 per tap of a ray that crosses the grid, with a bound on the
-# pixel form its transpose adds; 24 per pixel for the backprojector), since
-# large geometries would otherwise pin gigabytes. Without admission, each
-# call rebuilds one table per orbit, which costs about ten times the gather
-# that uses it. At 128x128 with 256 fan views the full view set has 33
-# representatives: 12.5 MiB of projector tables (33 MiB counted with the
-# bound on their pixel forms, which hold 16.4 MiB) and 12.4 MiB of
+# `_OrbitCore`: its tables are kept across calls only when 1.1 times its
+# orbit representatives times the bytes of the first one's table fit (for
+# the projector, its row form plus the pixel form its transpose derives),
+# since large geometries would otherwise pin gigabytes. The tables of other
+# representatives differ in size: over all of them, the bytes kept divided
+# by that product are 0.94-1.01 on the tested square scans and 0.80 on a
+# fan wider than a quarter turn. The backprojector's pixel form is 24 bytes
+# per pixel in every view. Without admission, each call rebuilds one table
+# per orbit, which costs about ten times the gather that uses it. At
+# 128x128 with 256 fan views the full view set has 33 representatives:
+# 29 MiB of projector tables with their pixel forms and 12.4 MiB of
 # backprojector tables, which every subset shares.
 _CACHE_LIMIT_BYTES = 64 * 2**20
 
@@ -112,19 +112,6 @@ class _Store:
 
 
 _STORE = _Store(_CACHE_LIMIT_BYTES)
-
-
-def _gather(src, i0, i1, w0, w1):
-    """w0*src[i0] + w1*src[i1], summed over the leading step axis of 2-D tables."""
-    vals = w0 * src[i0] + w1 * src[i1]
-    return vals.sum(axis=0) if vals.ndim == 2 else vals
-
-
-def _scatter(vals, i0, i1, w0, w1, out):
-    """Transpose of `_gather`: adds its scatter of vals into the flat `out`."""
-    out += np.bincount(i0.ravel(), (w0 * vals).ravel(), minlength=out.size)
-    out += np.bincount(i1.ravel(), (w1 * vals).ravel(), minlength=out.size)
-    return out
 
 
 def _first_tap(i0, i1, w1, stride: int):
@@ -246,10 +233,15 @@ class _OrbitCore:
 
     `image_to_rows` and `rows_to_image` gather through a table whose
     entries they compute and scatter through the other. A mirrored view
-    (code >= 4) reads and writes its row reversed. An admitted core keeps
-    its tables in `_STORE`, where a row-form core also keeps their pixel
-    forms the first time `rows_to_image` runs. Any other core rebuilds its
-    tables per call, and a row-form one scatters through them in
+    (code >= 4) reads and writes its row reversed.
+
+    The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
+    at construction from the measured bytes of its first representative's
+    table, which it reads through the store. A row-form core counts the
+    pixel form of that table too, derived and dropped. An admitted core
+    keeps its tables in `_STORE`, where a row-form core also keeps their
+    pixel forms the first time `rows_to_image` runs. Any other core rebuilds
+    its tables per call, and a row-form one scatters through them in
     `rows_to_image`: deriving the pixel forms on each call takes about
     twice as long as that scatter at 256x256 with 45 parallel views, and as
     long at 512x512 with 64 fan views.
@@ -263,12 +255,10 @@ class _OrbitCore:
         self._build = build
         self._pixel_form = pixel_form
         self._fingerprint = geom.fingerprint
-        if pixel_form:
-            # the two-tap pixel form: one index and two weights per pixel
-            need = len(self.orbits) * 24 * geom.grid[0] * geom.grid[1]
-        else:
-            need = sum(_table_bytes(geom, rep) for rep, _, _ in self.orbits)
-        self.admitted = need <= _CACHE_LIMIT_BYTES
+        rep = self.orbits[0][0]
+        first = _STORE.get((build, self._fingerprint, rep), lambda: build(geom, rep))
+        size = _nbytes(first) + (0 if pixel_form else _nbytes(self._derive_pixel_form(first)))
+        self.admitted = 1.1 * len(self.orbits) * size <= _CACHE_LIMIT_BYTES
 
     def tables(self, view: int):
         build, geom = self._build, self.geom
@@ -276,17 +266,16 @@ class _OrbitCore:
             return build(geom, view)
         return _STORE.get((build, self._fingerprint, view), lambda: build(geom, view))
 
+    def _derive_pixel_form(self, table) -> tuple:
+        grid = self.geom.grid
+        return _transposed(table, grid[0] * grid[1], self.geom.n_det, _image_pad(grid))
+
     def pixel_tables(self, view: int):
         """The pixel form of `view`'s table, derived once from a row form."""
         if self._pixel_form:
             return self.tables(view)
-        grid = self.geom.grid
-
-        def derive():
-            return _transposed(self.tables(view), grid[0] * grid[1], self.geom.n_det,
-                               _image_pad(grid))
-
-        return _STORE.get(((self._build, _transposed), self._fingerprint, view), derive)
+        return _STORE.get(((self._build, _transposed), self._fingerprint, view),
+                          lambda: self._derive_pixel_form(self.tables(view)))
 
     def image_to_rows(self, x) -> np.ndarray:
         x = _checked(x, self.geom.grid, "image")
@@ -454,40 +443,6 @@ def _ray_tables(geom: ScanGeometry, view: int) -> list:
         idx = _first_tap(lin0, lin1, w1, stride) + _image_pad(geom.grid)
         groups.append((cells, idx, stride, w0, w1))
     return groups
-
-
-def _pixel_span(geom: ScanGeometry) -> int:
-    """Bound on the detector cells the Joseph taps of one pixel span in a view.
-
-    A ray meets a pixel where it crosses the pixel's plane within a window
-    two pixels wide. Parallel rays through the window are at most that far
-    apart. Fan rays are magnified by at most D / (s - r), with D the
-    source-detector distance, s the source distance and r the grid's
-    half-diagonal plus a pixel, and spread on the flat detector by at most
-    1 / cos^2 of the widest fan angle that meets the grid.
-    """
-    width = 2.0 * geom.pixel_size
-    if geom.beam != PARALLEL:
-        s = geom.src_dist
-        r = geom.pixel_size * (0.5 * math.hypot(*geom.grid) + 1.0)
-        if s <= r:
-            return geom.n_det
-        width *= (s + geom.det_dist) / (s - r) / (1.0 - (r / s) ** 2)
-    return min(math.ceil(width / geom.det_spacing), geom.n_det)
-
-
-def _table_bytes(geom: ScanGeometry, view: int) -> int:
-    """Bytes a kept projector table of `view` and its pixel form hold at most.
-
-    24 per tap of the crossing rays (one index, two weights), and 8 per
-    weight and index of the pixel form, with K bounded by `_pixel_span`.
-    """
-    m1, m2 = geom.grid
-    rays = _view_rays(geom, float(geom.view_angles_full[view]))
-    cells = _crossing(*rays, m1, m2)
-    col_major = np.abs(rays[2][cells]) >= np.abs(rays[3][cells])
-    taps = int(np.where(col_major, m2, m1).sum())
-    return 24 * taps + 8 * (_pixel_span(geom) + 1) * m1 * m2
 
 
 class JosephProjector:

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -18,7 +19,9 @@ from sparsect.fbp import (
 )
 from sparsect.geometry import (
     Sinogram,
+    ViewSubset,
     full_subset,
+    geometry_preset,
     make_geometry,
     scaled_preset,
     sparse_subset,
@@ -306,22 +309,27 @@ class TestViewUpsampler:
         assert np.array_equal(full[sub.indices], y)
 
     @pytest.mark.parametrize("beam", ["fan", "parallel"])
-    @pytest.mark.parametrize("q", [2, 5, 12])
+    @pytest.mark.parametrize("q", [1, 2, 5, 12])
     def test_matches_row_gather_reference(self, beam, q, small_fan, small_parallel):
         geom = small_fan if beam == "fan" else small_parallel
-        sub = sparse_subset(geom, q)
-        up = ViewUpsampler(geom, sub)
-        rng = np.random.default_rng(13)
-        y = rng.standard_normal(up.in_shape)
-        y_full = rng.standard_normal(up.out_shape)
-        assert np.array_equal(up.apply(y), _reference_upsample(geom, sub, y))
-        ref_T = _reference_upsample_T(geom, sub, y_full)
-        assert _rel(up.applyT(y_full), ref_T) <= 1e-12
+        decimated = sparse_subset(geom, q)
+        # Shifted one view on, the subset leaves full view 0 before its first
+        # view, so both wrap rows carry weight; at q=1 both fold into one row.
+        shifted = ViewSubset(np.sort((decimated.indices + 1) % geom.n_views_full), q)
+        for sub in (decimated, shifted):
+            up = ViewUpsampler(geom, sub)
+            rng = np.random.default_rng(13)
+            y = rng.standard_normal(up.in_shape)
+            y_full = rng.standard_normal(up.out_shape)
+            assert np.array_equal(up.apply(y), _reference_upsample(geom, sub, y))
+            ref_T = _reference_upsample_T(geom, sub, y_full)
+            assert _rel(up.applyT(y_full), ref_T) <= 1e-12
 
-    def test_full_subset_is_identity(self, small_fan):
-        up = ViewUpsampler(small_fan, full_subset(small_fan))
-        y = np.random.default_rng(5).standard_normal(up.in_shape)
-        assert np.array_equal(up.apply(y), y)
+    def test_full_subset_is_identity(self, small_fan, small_parallel):
+        for geom in (small_fan, small_parallel):
+            up = ViewUpsampler(geom, full_subset(geom))
+            y = np.random.default_rng(5).standard_normal(up.in_shape)
+            assert np.array_equal(up.apply(y), y)
 
     def test_interpolation_is_linear_between_brackets(self, small_fan):
         # view angles are uniform, so a sinogram linear in the view index
@@ -348,7 +356,7 @@ class TestViewUpsampler:
         rev = y[0][::-1] / np.max(y[0])
         assert np.allclose(np.argsort(row), np.argsort(rev))
 
-    @given(q=st.integers(2, 12), beam=st.sampled_from(["parallel", "fan"]))
+    @given(q=st.integers(1, 12), beam=st.sampled_from(["parallel", "fan"]))
     @settings(max_examples=30, deadline=None)
     def test_adjoint_property(self, q, beam):
         geom = make_geometry(
@@ -363,6 +371,20 @@ class TestViewUpsampler:
         lhs = float((up.apply(a) * b).sum())
         rhs = float((a * up.applyT(b)).sum())
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+    def test_paper_scale_upsampler_retains_under_one_mib(self):
+        # two weights and one source row per full view, and the
+        # (q1 + 2, n_full) interpolation matrix, not a table per detector cell
+        geom = geometry_preset("fan-1024")
+        sub = sparse_subset(geom, 64)
+        tracemalloc.start()
+        try:
+            up = ViewUpsampler(geom, sub)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert up.out_shape == (1024, 1024)
+        assert retained < 2**20
 
     def test_upsample_views_wrapper(self, small_fan):
         sub = sparse_subset(small_fan, 4)

@@ -12,13 +12,13 @@ from sparsect.geometry import Sinogram, make_geometry, sparse_subset
 from sparsect.model import ReconNet
 from sparsect.phantoms import shepp_logan
 from sparsect.projector import (
+    _CACHE_LIMIT_BYTES,
     _STORE,
     JosephProjector,
     _image_pad,
     _joseph_tables,
-    _pixel_span,
+    _nbytes,
     _ray_tables,
-    _table_bytes,
     _transposed,
     _view_rays,
     view_orbits,
@@ -106,16 +106,22 @@ def test_rays_that_miss_the_grid_are_not_stored():
     assert kept / (len(representatives(geom)) * geom.n_det) < 0.55
 
 
-@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES) + ["wide-fan"])
 def test_admission_estimate_bounds_what_a_kept_table_holds(case):
-    geom, _ = mirror_case(case)
+    # An admitted projector core keeps each representative's row form and
+    # pixel form; admission counts 1.1 times the first one's bytes per
+    # representative.
+    geom, sub = (wide_fan(), None) if case == "wide-fan" else mirror_case(case)
+    core = JosephProjector(geom, sub)._core
     m = geom.grid[0] * geom.grid[1]
-    for view in representatives(geom)[:12]:
-        groups = _ray_tables(geom, view)
+    kept = []
+    for rep, _, _ in core.orbits:
+        groups = _ray_tables(geom, rep)
         pixel_form = _transposed(groups, m, geom.n_det, _image_pad(geom.grid))
-        assert len(pixel_form) - 1 <= _pixel_span(geom)
-        arrays = [a for _, idx, _, w0, w1 in groups for a in (idx, w0, w1)] + list(pixel_form)
-        assert sum(a.nbytes for a in arrays) <= _table_bytes(geom, view)
+        kept.append(_nbytes(groups) + _nbytes(pixel_form))
+    figure = 1.1 * len(kept) * kept[0]
+    assert sum(kept) <= figure
+    assert core.admitted == (figure <= _CACHE_LIMIT_BYTES)
 
 
 @pytest.mark.parametrize("make, spans", [(fista_tv_geometry, {2}), (recon_mid_geometry, {2, 3})],
@@ -129,9 +135,6 @@ def test_pixel_taps_of_the_transpose_are_consecutive_cells(make, spans):
 
 
 def test_fista_tv_transpose_gathers_and_second_call_builds_nothing(monkeypatch):
-    geom = fista_tv_geometry()
-    proj = JosephProjector(geom, sparse_subset(geom, 45))
-    assert proj._core.admitted
     built = []
 
     def counted(*args):
@@ -141,7 +144,11 @@ def test_fista_tv_transpose_gathers_and_second_call_builds_nothing(monkeypatch):
     def no_bincount(*args, **kwargs):
         raise AssertionError("the admitted transpose scatters")
 
+    # construction builds the first representative's table, to admit by it
     monkeypatch.setattr(projector_module, "_joseph_tables", counted)
+    geom = fista_tv_geometry()
+    proj = JosephProjector(geom, sparse_subset(geom, 45))
+    assert proj._core.admitted
     monkeypatch.setattr(np, "bincount", no_bincount)
     y = np.random.default_rng(21).standard_normal(proj.out_shape)
     first = proj.applyT(y)

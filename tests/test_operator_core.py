@@ -13,7 +13,7 @@ from sparsect import fbp as fbp_module
 from sparsect import projector as projector_module
 from sparsect.experiments import toy_geometry
 from sparsect.fbp import FbpOperator, PixelBackprojector, ViewUpsampler
-from sparsect.geometry import ViewSubset, make_geometry, sparse_subset
+from sparsect.geometry import ViewSubset, geometry_preset, make_geometry, sparse_subset
 from sparsect.projector import _CACHE_LIMIT_BYTES, _STORE, JosephProjector, _Store
 
 from conftest import fista_tv_geometry, recon_mid_geometry
@@ -58,8 +58,9 @@ def test_dropped_operator_leaves_no_cycles(cls, small_fan):
 
 
 class TestCacheAdmission:
-    """Tables are kept when the bytes they would hold over the subset's
-    orbit representatives fit `_CACHE_LIMIT_BYTES`."""
+    """Tables are kept when 1.1 times the subset's orbit representatives
+    times the measured bytes of the first one's table fit
+    `_CACHE_LIMIT_BYTES`."""
 
     @pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector])
     def test_recon_mid_sparse_subset_keeps_its_representatives(self, cls):
@@ -87,6 +88,27 @@ class TestCacheAdmission:
     def test_toy_subsets_are_cached(self, cls, q):
         geom = toy_geometry()
         assert cls(geom, sparse_subset(geom, q))._core.admitted
+
+    @pytest.mark.parametrize("make, q, admitted", [
+        (toy_geometry, 15, (True, True)),
+        (toy_geometry, 30, (True, True)),
+        (toy_geometry, None, (True, True)),
+        (recon_mid_geometry, 32, (True, True)),
+        (recon_mid_geometry, None, (True, True)),
+        (fista_tv_geometry, 45, (True, True)),
+        (lambda: make_geometry("parallel", n_views=360, n_det=367, det_spacing=1.0,
+                               grid=(256, 256), pixel_size=1.0), 45, (False, True)),
+        (lambda: geometry_preset("fan-1024"), 64, (False, True)),
+        (lambda: geometry_preset("fan-1024"), None, (False, False)),
+    ], ids=["toy-q15", "toy-q30", "toy-full", "recon-mid-q32", "recon-mid-full",
+            "fista-tv-q45", "parallel-256-q45", "fan-1024-q64", "fan-1024-full"])
+    def test_admission_decisions(self, make, q, admitted):
+        """(projector, backprojector) admission at the benchmark's scans, at
+        a 256x256 parallel scan and at the paper's."""
+        geom = make()
+        sub = None if q is None else sparse_subset(geom, q)
+        assert (JosephProjector(geom, sub)._core.admitted,
+                PixelBackprojector(geom, sub)._core.admitted) == admitted
 
 
 class TestTableStore:
