@@ -17,7 +17,6 @@ Everything is float64.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TapeError(RuntimeError):
@@ -165,9 +164,22 @@ def sum_(x):
 
 
 def leaky_relu(x, slope=0.01):
-    # ties take the positive branch
-    mask = np.where(x.value >= 0.0, 1.0, slope)
-    return _unary(x, x.value * mask, lambda g: g * mask)
+    """max(x, slope * x), which is x where x >= 0 and slope * x elsewhere
+    for a slope in [0, 1]; ties take the positive branch. The node keeps no
+    mask: its vjp rebuilds it from x. At slope 0 an input of +inf gives NaN
+    (inf * 0), not inf."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must lie in [0, 1], got {slope}")
+    xv = x.value
+    value = xv * slope
+    np.maximum(xv, value, out=value)
+
+    def vjp(g):
+        dx = g * slope
+        np.copyto(dx, g, where=xv >= 0.0)
+        return dx
+
+    return _unary(x, value, vjp)
 
 
 def reshape(x, shape):
@@ -221,15 +233,18 @@ def _conv3x3_raw(x, w, keep: bool = False):
     """
     c, h, wd = x.shape
     o = w.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (c, h, wd, 3, 3)
+    xp = np.zeros((c, h + 2, wd + 2))
+    xp[:, 1:-1, 1:-1] = x
+    # win[ci, di, dj, i, j] = xp[ci, i + di, j + dj]: the patches as a view
+    sc, sh, sw = xp.strides
+    win = np.ndarray((c, 3, 3, h, wd), xp.dtype, xp, 0, (sc, sh, sw, sh, sw))
     wm = w.reshape(o, c * 9)
     step = max(1, _BAND_BYTES // (c * 9 * wd * 8))
     out = np.empty((o, h, wd))
     flat = out.reshape(o, h * wd)
     bands = []
     for r in range(0, h, step):
-        cols = win[:, r: r + step].transpose(0, 3, 4, 1, 2).reshape(c * 9, -1)
+        cols = win[:, :, :, r: r + step].reshape(c * 9, -1)
         np.matmul(wm, cols, out=flat[:, r * wd: r * wd + cols.shape[1]])
         if keep:
             bands.append(cols)
@@ -242,7 +257,7 @@ def conv3x3(x, w, b):
     xv, wv, bv = x.value, w.value, b.value
     rg = x.requires_grad or w.requires_grad or b.requires_grad
     out, bands = _conv3x3_raw(xv, wv, keep=rg)
-    out = out + bv[:, None, None]
+    out += bv[:, None, None]
     o = wv.shape[0]
 
     def vjp_x(g):
@@ -278,7 +293,7 @@ def conv2x2_down(x, w, b):
     o = wv.shape[0]
     blocks = xv.reshape(c, h2, 2, w2, 2).transpose(0, 2, 4, 1, 3)
     out = np.tensordot(wv, blocks, axes=([1, 2, 3], [0, 1, 2]))
-    out = out + bv[:, None, None]
+    out += bv[:, None, None]
 
     def vjp_x(g):
         t = np.tensordot(wv, g, axes=([0], [0]))  # (c,2,2,h2,w2)
@@ -305,7 +320,7 @@ def tconv2x2_up(x, w, b):
     o = wv.shape[1]
     t = np.tensordot(wv, xv, axes=([0], [0]))  # (o,2,2,h,wd)
     out = t.transpose(0, 3, 1, 4, 2).reshape(o, 2 * h, 2 * wd)
-    out = out + bv[:, None, None]
+    out += bv[:, None, None]
 
     def _blocks(g):
         return g.reshape(o, h, 2, wd, 2).transpose(0, 2, 4, 1, 3)

@@ -30,6 +30,8 @@ class CorrectionConfig:
     def __post_init__(self):
         if self.width < 1 or self.depth < 0 or self.c_in < 1:
             raise ValueError("width/c_in must be >= 1 and depth >= 0")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 
 
 def param_count(width: int, depth: int, c_in: int = 8) -> int:

@@ -29,7 +29,8 @@ so the projector's transpose gathers too; an unkept one scatters.
 Kept tables live in one process-wide store (`_STORE`), keyed by what they
 are (builder or derivation), geometry fingerprint and representative view,
 so every operator over an equal geometry reads the same tables, whoever
-built them first.
+built them first. The store also keeps the measured bytes of each
+geometry's first table, which decide admission.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ class _Store:
                 self.entries.move_to_end(key)
                 return hit[0]
         value = make()
+        self.put(key, value)
+        return value
+
+    def put(self, key: tuple, value) -> None:
+        """Keep `value` under `key` unless the key is kept or it exceeds the budget."""
         size = _nbytes(value)
         with self._lock:
             if size <= self.limit and key not in self.entries:
@@ -103,7 +109,6 @@ class _Store:
                     self.nbytes -= self.entries.popitem(last=False)[1][1]
                 self.entries[key] = (value, size)
                 self.nbytes += size
-        return value
 
     def clear(self) -> None:
         with self._lock:
@@ -138,7 +143,12 @@ def _image_pad(grid) -> int:
 def _gather_rows(src, groups, row) -> None:
     """Row-form gather: fills the cells of `row` from the padded flat image."""
     for cells, idx, stride, w0, w1 in groups:
-        row[cells] = (w0 * src.take(idx) + w1 * src[stride:].take(idx)).sum(axis=0)
+        vals = src.take(idx)
+        vals *= w0
+        tap = src[stride:].take(idx)
+        tap *= w1
+        vals += tap
+        row[cells] = vals.sum(axis=0)
 
 
 def _scatter_rows(row, groups, acc) -> None:
@@ -197,15 +207,28 @@ def _transposed(groups, n_pixels: int, n_cells: int, pad: int) -> tuple:
     return (j0 + 1, *w)
 
 
+_KEEP, _REVERSE = slice(None), slice(None, None, -1)
+# Per turn code: the axes to reverse, then whether to transpose. This is
+# np.rot90(x, code % 4), transposed for code >= 4, as one slice view.
+_TURNS = (
+    ((_KEEP, _KEEP), False), ((_KEEP, _REVERSE), True),
+    ((_REVERSE, _REVERSE), False), ((_REVERSE, _KEEP), True),
+    ((_KEEP, _KEEP), True), ((_KEEP, _REVERSE), False),
+    ((_REVERSE, _REVERSE), True), ((_REVERSE, _KEEP), False),
+)
+
+
 def _turned(x, code: int) -> np.ndarray:
-    """x under the symmetry of turn code `code` (`geometry.view_orbits`)."""
-    x = np.rot90(x, code % 4)
-    return x.T if code >= 4 else x
+    """View of x under the symmetry of turn code `code` (`geometry.view_orbits`)."""
+    axes, transpose = _TURNS[code]
+    x = x[axes]
+    return x.T if transpose else x
 
 
 def _unturned(z, code: int) -> np.ndarray:
-    """Adjoint (and inverse) of `_turned`."""
-    return np.rot90(z.T if code >= 4 else z, -(code % 4))
+    """Adjoint (and inverse) of `_turned`, also a view."""
+    axes, transpose = _TURNS[code]
+    return (z.T if transpose else z)[axes]
 
 
 def _flat(img, pad: int) -> np.ndarray:
@@ -237,14 +260,16 @@ class _OrbitCore:
 
     The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
     at construction from the measured bytes of its first representative's
-    table, which it reads through the store. A row-form core counts the
-    pixel form of that table too, derived and dropped. An admitted core
-    keeps its tables in `_STORE`, where a row-form core also keeps their
-    pixel forms the first time `rows_to_image` runs. Any other core rebuilds
-    its tables per call, and a row-form one scatters through them in
-    `rows_to_image`: deriving the pixel forms on each call takes about
-    twice as long as that scatter at 256x256 with 45 parallel views, and as
-    long at 512x512 with 64 fan views.
+    table. A row-form core counts the pixel form of that table too, derived
+    and dropped. The store keeps that measure per geometry, so an equal
+    operator builds nothing to judge, and keeps the table itself only for
+    an admitted core. An admitted core keeps its tables in `_STORE`, where
+    a row-form core also keeps their pixel forms the first time
+    `rows_to_image` runs. Any other core rebuilds its tables per call, and
+    a row-form one scatters through them in `rows_to_image`: deriving the
+    pixel forms on each call takes about twice as long as that scatter at
+    256x256 with 45 parallel views, and as long at 512x512 with 64 fan
+    views.
     """
 
     def __init__(self, geom, subset, build, pixel_form: bool):
@@ -256,9 +281,18 @@ class _OrbitCore:
         self._pixel_form = pixel_form
         self._fingerprint = geom.fingerprint
         rep = self.orbits[0][0]
-        first = _STORE.get((build, self._fingerprint, rep), lambda: build(geom, rep))
-        size = _nbytes(first) + (0 if pixel_form else _nbytes(self._derive_pixel_form(first)))
-        self.admitted = 1.1 * len(self.orbits) * size <= _CACHE_LIMIT_BYTES
+
+        def measure() -> int:
+            first = build(geom, rep)
+            size = _nbytes(first) + (0 if pixel_form else _nbytes(self._derive_pixel_form(first)))
+            if self._admits(size):
+                _STORE.put((build, self._fingerprint, rep), first)
+            return size
+
+        self.admitted = self._admits(_STORE.get(((build, _nbytes), self._fingerprint, rep), measure))
+
+    def _admits(self, size: int) -> bool:
+        return 1.1 * len(self.orbits) * size <= _CACHE_LIMIT_BYTES
 
     def tables(self, view: int):
         build, geom = self._build, self.geom

@@ -270,6 +270,98 @@ class TestBandedConv:
         assert np.abs(out.value - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _conv3x3_raw_padded_windows(x, w, keep):
+    """`_conv3x3_raw` through np.pad and sliding_window_view, band for band."""
+    c, h, wd = x.shape
+    o = w.shape[0]
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, ((0, 0), (1, 1), (1, 1))), (3, 3), axis=(1, 2))
+    step = max(1, ad._BAND_BYTES // (c * 9 * wd * 8))
+    out = np.empty((o, h * wd))
+    bands = []
+    for r in range(0, h, step):
+        cols = win[:, r: r + step].transpose(0, 3, 4, 1, 2).reshape(c * 9, -1)
+        np.matmul(w.reshape(o, c * 9), cols, out=out[:, r * wd: r * wd + cols.shape[1]])
+        if keep:
+            bands.append(cols)
+    return out.reshape(o, h, wd), bands
+
+
+class TestConvPatchView:
+    """`_conv3x3_raw` pads by slice assignment and takes its patches as a
+    strided view; outputs and kept bands equal the np.pad + sliding_window_view
+    formulation bit for bit."""
+
+    # (c, o, h, w): convs at the toy scale (32x32, width 8) and at the
+    # recon-mid scale (128x128, width 32, in 2 and 5 bands); an odd shape
+    @pytest.mark.parametrize("shape", [
+        (8, 8, 32, 32), (8, 8, 8, 8), (8, 1, 32, 32), (16, 8, 16, 16),
+        (8, 32, 128, 128), (32, 32, 128, 128), (3, 2, 5, 7),
+    ])
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_equals_padded_window_formulation(self, rng, shape, keep):
+        c, o, h, wd = shape
+        x = rng.standard_normal((c, h, wd))
+        w = rng.standard_normal((o, c, 3, 3))
+        out, bands = ad._conv3x3_raw(x, w, keep=keep)
+        want, want_bands = _conv3x3_raw_padded_windows(x, w, keep)
+        assert np.array_equal(out, want)
+        assert len(bands) == len(want_bands)
+        assert bool(bands) == keep
+        for got, ref in zip(bands, want_bands):
+            assert np.array_equal(got, ref)
+
+
+# ±0.0, ±inf, NaN, subnormals and ordinary values of both signs
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                           1.5, -1.5, 1e300, -1e300])
+
+
+class TestLeakyRelu:
+    """`leaky_relu` is max(x, slope * x) and keeps no mask; its value and
+    vjp equal the mask formulation x * where(x >= 0, 1, slope)."""
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+    def test_value_and_vjp_match_mask_formulation(self, rng, slope):
+        x = np.concatenate([SPECIAL_VALUES, rng.standard_normal(64)])
+        g = np.concatenate([rng.permutation(SPECIAL_VALUES), rng.standard_normal(64)])
+        mask = np.where(x >= 0.0, 1.0, slope)
+        t = Tape()
+        xn = t.leaf(x)
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = ad.leaky_relu(xn, slope)
+            ad.backward(ad.sum_(y * t.constant(g)))
+            dx, want = g * mask, x * mask
+        assert np.array_equal(xn.grad, dx, equal_nan=True)
+        # The one difference: at slope 0, +inf * 0 gives NaN where the mask
+        # formulation keeps +inf.
+        same = ~((slope == 0.0) & (x == np.inf))
+        if slope == 0.0:
+            assert np.isnan(y.value[~same]).all()
+        assert np.array_equal(y.value[same], want[same], equal_nan=True)
+        assert np.array_equal(np.signbit(y.value[same & ~np.isnan(x)]),
+                              np.signbit(want[same & ~np.isnan(x)]))
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.01, np.nan])
+    def test_slope_outside_unit_interval_is_rejected(self, slope):
+        t = Tape()
+        with pytest.raises(ValueError, match="slope"):
+            ad.leaky_relu(t.leaf(np.ones(3)), slope)
+
+    def test_recorded_node_retains_only_its_output(self, rng):
+        t = Tape()
+        x = t.leaf(rng.standard_normal(2**17))  # 1 MiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ad.leaky_relu(x, 0.01)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert t.nodes[-1] is y
+        assert retained <= 1.05 * y.value.nbytes
+
+
 class TestFiniteDifferenceOracle:
     def test_masks_an_entry_whose_step_straddles_a_kink(self):
         # the middle entry lies within h of the LeakyReLU kink at 0

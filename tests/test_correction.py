@@ -82,6 +82,9 @@ class TestInit:
             CorrectionConfig(depth=-1)
         with pytest.raises(ValueError):
             CorrectionConfig(c_in=0)
+        for slope in (-0.01, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="leaky_slope"):
+                CorrectionConfig(leaky_slope=slope)
 
 
 class TestForward:

@@ -14,7 +14,14 @@ from sparsect import projector as projector_module
 from sparsect.experiments import toy_geometry
 from sparsect.fbp import FbpOperator, PixelBackprojector, ViewUpsampler
 from sparsect.geometry import ViewSubset, geometry_preset, make_geometry, sparse_subset
-from sparsect.projector import _CACHE_LIMIT_BYTES, _STORE, JosephProjector, _Store
+from sparsect.projector import (
+    _CACHE_LIMIT_BYTES,
+    _STORE,
+    JosephProjector,
+    _Store,
+    _turned,
+    _unturned,
+)
 
 from conftest import fista_tv_geometry, recon_mid_geometry
 
@@ -115,6 +122,34 @@ class TestTableStore:
     """One process-wide store keeps the admitted tables of every operator,
     keyed by builder, geometry fingerprint and representative view."""
 
+    @pytest.mark.parametrize("cls, q", [(JosephProjector, 64), (PixelBackprojector, None)],
+                             ids=["JosephProjector-q64", "PixelBackprojector-full"])
+    def test_unadmitted_core_stores_only_its_measured_size(self, cls, q):
+        geom = geometry_preset("fan-1024")
+        op = cls(geom, None if q is None else sparse_subset(geom, q))
+        assert not op._core.admitted
+        assert stored_views(op) == []
+        assert [type(value) for value, _ in _STORE.entries.values()] == [int]
+
+    def test_equal_unadmitted_projector_builds_and_derives_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapped
+
+        for name in ("_ray_tables", "_transposed"):
+            monkeypatch.setattr(projector_module, name, counted(getattr(projector_module, name)))
+        geom = geometry_preset("fan-1024")
+        assert not JosephProjector(geom, sparse_subset(geom, 64))._core.admitted
+        assert calls == ["_ray_tables", "_transposed"]
+        calls.clear()
+        twin = geometry_preset("fan-1024")
+        assert not JosephProjector(twin, sparse_subset(twin, 64))._core.admitted
+        assert calls == []
+
     @pytest.mark.parametrize("cls, module, builder", [
         (JosephProjector, projector_module, "_joseph_tables"),
         (PixelBackprojector, fbp_module, "_pixel_taps"),
@@ -153,8 +188,11 @@ class TestTableStore:
                 out = proj.apply(x)
                 sizes = [size for _, size in _STORE.entries.values()]
                 assert _STORE.nbytes == sum(sizes) <= _CACHE_LIMIT_BYTES
-        assert 120 * min(sizes) > _CACHE_LIMIT_BYTES
-        assert len(sizes) < 120
+        # the store also keeps each geometry's measured first-table size, an int
+        tables = [size for key, (_, size) in _STORE.entries.items()
+                  if key[0] is proj._core._build]
+        assert 120 * min(tables) > _CACHE_LIMIT_BYTES
+        assert len(tables) < 120
         assert JosephProjector(geom, subsets[-1]).apply(x).tobytes() == out.tobytes()
 
     def test_threads_sharing_a_store_keep_its_byte_count(self):
@@ -178,3 +216,23 @@ class TestTableStore:
         assert not any(t.is_alive() for t in threads)
         sizes = [size for _, size in store.entries.values()]
         assert store.nbytes == sum(sizes) <= store.limit
+
+
+class TestTurns:
+    """`_turned` and `_unturned` are np.rot90 (then a transpose for codes
+    4-7) and its inverse, as slice views of their argument."""
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 7)], ids=["square", "non-square"])
+    @pytest.mark.parametrize("code", range(8))
+    def test_match_rot90_and_return_views(self, shape, code):
+        x = np.arange(float(np.prod(shape))).reshape(shape)
+        want = np.rot90(x, code % 4)
+        want = want.T if code >= 4 else want
+        turned = _turned(x, code)
+        assert np.array_equal(turned, want)
+        assert np.shares_memory(turned, x)
+        z = np.arange(float(want.size)).reshape(want.shape)
+        unturned = _unturned(z, code)
+        assert np.array_equal(unturned, np.rot90(z.T if code >= 4 else z, -(code % 4)))
+        assert np.shares_memory(unturned, z)
+        assert np.array_equal(_unturned(turned, code), x)
