@@ -158,6 +158,8 @@ def _decode(buf: bytes, path: str | Path) -> Checkpoint:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     width, depth, n_stages, c_in = struct.unpack_from("<IIII", buf, 8)
+    if c_in not in _VARIANT_FOR_WIDTH:
+        raise CheckpointError(f"{path}: c_in {c_in} not among widths {sorted(_VARIANT_FOR_WIDTH)}")
     slope, gamma = struct.unpack_from("<dd", buf, 24)
     (stored_count,) = struct.unpack_from("<Q", buf, 40)
     (flags,) = struct.unpack_from("<B", buf, 48)

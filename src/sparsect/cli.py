@@ -195,10 +195,8 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     a = load_tensor(args.image).astype(np.float64)
     b = load_tensor(args.reference).astype(np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    print("psnr\tssim\trmse_hu")
-    print(f"{psnr(a, b):.6g}\t{ssim_value(a, b):.6g}\t{rmse_hu(a, b):.6g}")
+    row = f"{psnr(a, b):.6g}\t{ssim_value(a, b):.6g}\t{rmse_hu(a, b):.6g}"
+    print("psnr\tssim\trmse_hu", row, sep="\n")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Both are plain linear operators with explicit transposes so the network can
 differentiate through them. The ramp filter is the band-limited Ram-Lak
-kernel evaluated via FFT on rows zero-padded to the next power of two at or
-above twice the detector count; no apodization window is applied.
+kernel, not apodized: a real FFT of rows zero-padded to the next power of two
+at or above twice the detector count, times the half spectrum, then inverted.
 
 The backprojector and the view upsampler run on the projector's two-tap
 core. The backprojector supplies only its per-view detector taps
@@ -38,13 +38,6 @@ from .geometry import (
 from .projector import _OrbitCore, _two_tap_pixel_form
 
 
-def _pad_length(n_det: int) -> int:
-    n = 1
-    while n < 2 * n_det:
-        n *= 2
-    return n
-
-
 def ramp_response(n_pad: int, spacing: float) -> np.ndarray:
     """Frequency response of the band-limited ramp on an n_pad grid.
 
@@ -54,8 +47,7 @@ def ramp_response(n_pad: int, spacing: float) -> np.ndarray:
     """
     h = np.zeros(n_pad)
     h[0] = 1.0 / (4.0 * spacing * spacing)
-    k = np.arange(1, n_pad // 2 + 1)
-    odd = k[k % 2 == 1]
+    odd = np.arange(1, n_pad // 2 + 1, 2)
     h[odd] = -1.0 / (np.pi * odd * spacing) ** 2
     h[n_pad - odd] = h[odd]
     return np.real(np.fft.fft(h)) * spacing
@@ -66,14 +58,13 @@ class RampFilter:
 
     def __init__(self, n_det: int, spacing: float):
         self.n_det = n_det
-        self.n_pad = _pad_length(n_det)
-        self.response = ramp_response(self.n_pad, spacing)
+        self.n_pad = 1 << (2 * n_det - 1).bit_length()  # smallest power of two >= 2 n_det
+        self.response = ramp_response(self.n_pad, spacing)[: self.n_pad // 2 + 1]
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
-        padded = np.zeros(rows.shape[:-1] + (self.n_pad,))
-        padded[..., : self.n_det] = rows
-        filt = np.fft.ifft(np.fft.fft(padded, axis=-1) * self.response, axis=-1)
-        return np.real(filt[..., : self.n_det])
+        spectrum = np.fft.rfft(rows, self.n_pad)
+        spectrum *= self.response
+        return np.fft.irfft(spectrum, self.n_pad)[..., : self.n_det]
 
     applyT = apply
 
@@ -162,14 +153,13 @@ class FbpOperator:
         self.in_shape = self._bp.in_shape
         self.out_shape = geom.grid
         self.scale = math.pi / self.subset.q1
+        self._preweight, spacing = None, geom.det_spacing
         if geom.beam == FAN:
             ds, dd = geom.src_dist, geom.det_dist
             virt = geom.det_offsets * ds / (ds + dd)
             self._preweight = ds / np.sqrt(ds * ds + virt * virt)
-            self._ramp = RampFilter(geom.n_det, geom.det_spacing * ds / (ds + dd))
-        else:
-            self._preweight = None
-            self._ramp = RampFilter(geom.n_det, geom.det_spacing)
+            spacing = geom.det_spacing * ds / (ds + dd)
+        self._ramp = RampFilter(geom.n_det, spacing)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         y = _checked(y, self.in_shape, "sinogram")

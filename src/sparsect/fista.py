@@ -65,6 +65,8 @@ def tv_prox(b: np.ndarray, weight: float, n_iters: int = 20, tau: float = 0.125)
     The inner loop works in place on six preallocated buffers; each step is
     px <- (px + tau*gx) / (1 + tau*|g|) with g = grad(div(p) - b/weight).
     """
+    if np.isnan(weight):
+        raise ValueError("TV weight is NaN")
     if weight <= 0:
         return b.copy()
     b_w = b / weight
@@ -115,8 +117,8 @@ def fista_tv(y: Sinogram, lam: float, cfg: FistaConfig = FistaConfig()) -> Fista
     table store, so solves on one (geometry, subset) run the power
     iteration once, and their projector and FBP tables are shared there too.
     """
-    if lam <= 0:
-        raise ValueError("TV weight must be positive")
+    if not lam > 0:
+        raise ValueError(f"TV weight must be positive, got {lam}")
     proj = JosephProjector(y.geom, y.subset)
     data = y.data
 

@@ -3,8 +3,8 @@
 The structural term uses mean local SSIM with a Gaussian window in valid
 mode (windows fully inside the image), so constant inputs reduce to the
 closed-form luminance ratio and ssim(x, x) is exactly 1. Windows shrink to
-the largest odd size that fits when the image is smaller than the
-configured width.
+the largest odd size that fits a smaller image. The Gaussian is separable,
+so windowed averaging is two band-matrix products, one per image axis.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .refine import StageContext
@@ -28,12 +27,24 @@ class LossConfig:
     data_range: float = 1.0
 
 
-def gaussian_window(win_size: int, sigma: float) -> np.ndarray:
-    """Normalized 2-D Gaussian window."""
+def _gaussian_1d(win_size: int, sigma: float) -> np.ndarray:
     r = np.arange(win_size) - 0.5 * (win_size - 1)
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))
-    g /= g.sum()
+    return g / g.sum()
+
+
+def gaussian_window(win_size: int, sigma: float) -> np.ndarray:
+    """Normalized 2-D Gaussian window."""
+    g = _gaussian_1d(win_size, sigma)
     return np.outer(g, g)
+
+
+def _band(n: int, g: np.ndarray) -> np.ndarray:
+    """(n - w + 1, n) matrix whose row i holds g in columns i .. i + w - 1."""
+    i = np.arange(n - g.size + 1)[:, None]
+    band = np.zeros((i.size, n))
+    band[i, i + np.arange(g.size)] = g
+    return band
 
 
 def effective_win_size(win_size: int, shape: tuple[int, int]) -> int:
@@ -42,27 +53,20 @@ def effective_win_size(win_size: int, shape: tuple[int, int]) -> int:
 
 
 class GaussianWindowOp:
-    """Valid-mode windowed averaging as a linear operator with transpose."""
+    """Valid-mode windowed averaging R @ x @ C.T, R and C the axes' bands."""
 
     def __init__(self, shape: tuple[int, int], win_size: int, sigma: float):
-        self.kernel = gaussian_window(win_size, sigma)
-        self.win = win_size
-        self.in_shape = shape
         self.out_shape = (shape[0] - win_size + 1, shape[1] - win_size + 1)
         if min(self.out_shape) < 1:
             raise ValueError("window larger than the image")
+        g = _gaussian_1d(win_size, sigma)
+        self._rows, self._cols = _band(shape[0], g), _band(shape[1], g)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        wins = sliding_window_view(x, (self.win, self.win))
-        return np.tensordot(wins, self.kernel, axes=([2, 3], [0, 1]))
+        return self._rows @ x @ self._cols.T
 
     def applyT(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.in_shape)
-        ho, wo = self.out_shape
-        for a in range(self.win):
-            for b in range(self.win):
-                out[a: a + ho, b: b + wo] += self.kernel[a, b] * y
-        return out
+        return self._rows.T @ y @ self._cols
 
 
 def l1_loss(x: ad.TensorNode, target: ad.TensorNode) -> ad.TensorNode:

@@ -18,6 +18,8 @@ from .losses import LossConfig, effective_win_size, gaussian_window
 
 def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; identical inputs give +inf."""
+    if np.shape(x) != np.shape(ref):
+        raise ValueError(f"shape mismatch {np.shape(x)} vs {np.shape(ref)}")
     mse = float(np.mean((np.asarray(x) - np.asarray(ref)) ** 2))
     if mse == 0.0:
         return math.inf
@@ -64,5 +66,7 @@ class HuMap:
 
 def rmse_hu(x: np.ndarray, ref: np.ndarray, hu: HuMap = HuMap()) -> float:
     """Root-mean-square error after mapping both images to HU."""
+    if np.shape(x) != np.shape(ref):
+        raise ValueError(f"shape mismatch {np.shape(x)} vs {np.shape(ref)}")
     d = hu.to_hu(x) - hu.to_hu(ref)
     return float(np.sqrt(np.mean(d * d)))

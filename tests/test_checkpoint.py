@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from sparsect.checkpoint import (
     restore_rng,
     save_checkpoint,
 )
+from sparsect.correction import init_params
 from sparsect.model import ReconNet
 from sparsect.optim import Adam, AdamConfig
 
@@ -28,6 +30,15 @@ def tiny_model(geom, **kw):
     kw.setdefault("n_stages", 2)
     kw.setdefault("variant", "e")
     return ReconNet(geom, **kw)
+
+
+def seven_channel_model(geom):
+    """A model whose config claims c_in = 7, a width no variant has, with
+    parameters to match, so its file is self-consistent."""
+    m = tiny_model(geom)
+    m.cfg = dataclasses.replace(m.cfg, c_in=7)
+    m.param_sets = [init_params(m.cfg, 0)]
+    return m
 
 
 class TestRoundTrip:
@@ -218,6 +229,12 @@ class TestValidation:
         raw[40:48] = struct.pack("<Q", 12345)
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_channel_width_of_no_variant_rejected(self, tiny_fan, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, seven_channel_model(tiny_fan))
+        with pytest.raises(CheckpointError, match=r"c_in 7 .*\[1, 2, 3, 4, 5, 6, 8\]"):
             load_checkpoint(path)
 
     def test_restores_demand_matching_state_blocks(self, tiny_fan, tmp_path):

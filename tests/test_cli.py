@@ -4,12 +4,15 @@ All invocations go through cli.main(argv) in process, so exit codes,
 stdout, and stderr stay observable without spawning interpreters.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sparsect import experiments
 from sparsect.checkpoint import load_checkpoint, save_checkpoint
 from sparsect.cli import main
+from sparsect.correction import init_params
 from sparsect.geometry import geometry_from_config
 from sparsect.model import ReconNet
 from sparsect.tensorio import load_tensor, save_tensor
@@ -78,6 +81,16 @@ def test_phantom_kinds(tmp_path, geom_file):
         assert a.min() >= 0.0 and a.max() <= 1.0
 
 
+def test_eval_shape_mismatch_exits_2_before_any_output(tmp_path, capsys):
+    pa, pb = str(tmp_path / "a.tgrd"), str(tmp_path / "b.tgrd")
+    save_tensor(pa, np.zeros((4, 4)))
+    save_tensor(pb, np.zeros((4, 5)))
+    assert main(["eval", pa, pb]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shape mismatch (4, 4) vs (4, 5)" in captured.err
+
+
 def test_eval_identical_pair(tmp_path, capsys):
     rng = np.random.default_rng(0)
     a = rng.random((9, 9))
@@ -124,6 +137,21 @@ def test_truncated_checkpoint_exits_2(tmp_path, geom_file, capsys, size):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "malformed checkpoint" in err
+
+
+def test_checkpoint_of_no_variant_width_exits_2(tmp_path, geom_file, capsys):
+    ck = tmp_path / "model.ckpt"
+    model = ReconNet(geometry_from_config(geom_file), width=2, depth=1, n_stages=1, variant="a")
+    model.cfg = dataclasses.replace(model.cfg, c_in=7)
+    model.param_sets = [init_params(model.cfg, 0)]
+    save_checkpoint(ck, model)
+    sino = str(tmp_path / "y.tgrd")
+    save_tensor(sino, np.zeros((6, 23)))
+    rc = main(["reconstruct", "--geometry", geom_file, "--views", "6",
+               "--checkpoint", str(ck), sino, "--out", str(tmp_path / "rec.tgrd")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "c_in 7" in err
 
 
 def test_truncated_tensor_exits_2(tmp_path, geom_file, capsys):

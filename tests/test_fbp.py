@@ -73,6 +73,25 @@ class TestRamp:
         rhs = float((a * f.applyT(b)).sum())
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
+    @pytest.mark.parametrize(
+        "shape", [(60, 17), (30, 17), (32, 256), (256, 256), (45, 183), (17,), (2, 5, 24)]
+    )
+    def test_filter_matches_padded_complex_fft(self, shape):
+        spacing = 0.9
+        f = RampFilter(shape[-1], spacing)
+        n_pad = 1
+        while n_pad < 2 * shape[-1]:
+            n_pad *= 2
+        assert f.n_pad == n_pad
+        rows = np.random.default_rng(4).standard_normal(shape)
+        padded = np.zeros(shape[:-1] + (n_pad,))
+        padded[..., : shape[-1]] = rows
+        spectrum = np.fft.fft(padded, axis=-1) * ramp_response(n_pad, spacing)
+        ref = np.real(np.fft.ifft(spectrum, axis=-1)[..., : shape[-1]])
+        out = f.apply(rows)
+        assert out.shape == shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_filter_kills_constant(self):
         f = RampFilter(32, 1.0)
         out = f.apply(np.ones((1, 32)))

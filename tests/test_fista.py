@@ -131,6 +131,10 @@ class TestTotalVariation:
         assert np.array_equal(out, b)
         assert out is not b
 
+    def test_prox_nan_weight_rejected(self):
+        with pytest.raises(ValueError):
+            tv_prox(RNG.random((6, 6)), float("nan"))
+
     def test_prox_lowers_the_prox_objective(self):
         b = RNG.random((12, 12))
         w = 0.3
@@ -183,6 +187,11 @@ class TestFista:
         for lam in (0.0, -0.1):
             with pytest.raises(ValueError):
                 fista_tv(y, lam)
+
+    def test_nan_tv_weight_rejected(self, tiny_fan):
+        y, _ = make_measurement(tiny_fan)
+        with pytest.raises(ValueError):
+            fista_tv(y, float("nan"))
 
     def test_objective_trace_is_monotone(self, tiny_fan):
         y, _ = make_measurement(tiny_fan)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 import sparsect.autodiff as ad
 from sparsect.autodiff import Tape
@@ -32,6 +33,33 @@ def pair(rng, shape=(8, 9)):
     return rng.random(shape), rng.random(shape)
 
 
+def _window_mismatch(op, win, sigma, x, y):
+    """Largest relative gap of op.apply and op.applyT from the direct 2-D window.
+
+    The references slide the full (win, win) kernel over x, and scatter y
+    back through each of its taps in turn.
+    """
+    kernel = gaussian_window(win, sigma)
+    ref_apply = np.tensordot(sliding_window_view(x, (win, win)), kernel, axes=([2, 3], [0, 1]))
+    ref_applyT = np.zeros(x.shape)
+    ho, wo = y.shape
+    for a in range(win):
+        for b in range(win):
+            ref_applyT[a: a + ho, b: b + wo] += kernel[a, b] * y
+    return max(
+        np.abs(op.apply(x) - ref_apply).max() / np.abs(ref_apply).max(),
+        np.abs(op.applyT(y) - ref_applyT).max() / np.abs(ref_applyT).max(),
+    )
+
+
+WINDOW_CASES = [
+    (shape, win)
+    for shape in ((32, 32), (8, 13), (32, 7), (9, 10))
+    for win in (1, 3, 7, 11)
+    if win <= min(shape)
+]
+
+
 class TestWindow:
     def test_gaussian_window_normalized_and_symmetric(self):
         g = gaussian_window(11, 1.5)
@@ -53,6 +81,21 @@ class TestWindow:
         lhs = float((op.apply(x) * y).sum())
         rhs = float((x * op.applyT(y)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    @pytest.mark.parametrize("shape, win", WINDOW_CASES)
+    def test_window_op_matches_the_direct_2d_window(self, rng, shape, win):
+        op = GaussianWindowOp(shape, win, 1.5)
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(op.out_shape)
+        assert op.out_shape == (shape[0] - win + 1, shape[1] - win + 1)
+        assert _window_mismatch(op, win, 1.5, x, y) <= 1e-13
+
+    def test_band_shifted_by_one_column_fails_the_comparison(self, rng):
+        op = GaussianWindowOp((32, 32), 11, 1.5)
+        x = rng.standard_normal((32, 32))
+        y = rng.standard_normal(op.out_shape)
+        op._cols = np.roll(op._cols, 1, axis=1)
+        assert _window_mismatch(op, 11, 1.5, x, y) > 1e-2
 
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ValueError):

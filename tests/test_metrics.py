@@ -34,6 +34,10 @@ class TestPsnr:
         a, b = RNG.random((8, 8)), RNG.random((8, 8))
         assert psnr(a, b) == psnr(b, a)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            psnr(np.zeros((4, 4)), np.zeros((4, 1)))
+
 
 class TestSsimValue:
     def test_self_similarity_exactly_one(self):
@@ -95,3 +99,7 @@ class TestHounsfield:
     def test_rmse_zero_on_identical(self):
         a = RNG.random((6, 6))
         assert rmse_hu(a, a.copy()) == 0.0
+
+    def test_rmse_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            rmse_hu(np.zeros((4, 4)), np.zeros((1, 4)))
