@@ -207,9 +207,14 @@ def concat_channels(parts):
     return tape._record(value, parents, rg)
 
 
-def linear_op(x, op):
-    """Node for any linear operator exposing apply/applyT."""
-    return _unary(x, op.apply(x.value), lambda g: op.applyT(g))
+def linear_op(x, op, value=None):
+    """Node for any linear operator exposing apply/applyT.
+
+    `value`, if given, is op.apply(x.value) as the caller already holds it.
+    """
+    if value is None:
+        value = op.apply(x.value)
+    return _unary(x, value, lambda g: op.applyT(g))
 
 
 # ---------------------------------------------------------------------------

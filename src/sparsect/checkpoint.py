@@ -184,7 +184,11 @@ def _decode(buf: bytes, path: str | Path) -> Checkpoint:
         off += 32
         m, off = _read_entries(buf, off)
         v, off = _read_entries(buf, off)
-        adam = {"t": t, "m": m, "v": v, "cfg": AdamConfig(lr=lr, beta1=b1, beta2=b2, eps=eps)}
+        try:
+            cfg = AdamConfig(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: optimizer settings: {e}") from None
+        adam = {"t": t, "m": m, "v": v, "cfg": cfg}
 
     rng_state = None
     if flags & _FLAG_RNG:

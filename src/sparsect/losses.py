@@ -26,6 +26,10 @@ class LossConfig:
     k2: float = 0.03
     data_range: float = 1.0
 
+    def __post_init__(self):
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+
 
 def _gaussian_1d(win_size: int, sigma: float) -> np.ndarray:
     r = np.arange(win_size) - 0.5 * (win_size - 1)

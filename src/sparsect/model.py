@@ -136,19 +136,24 @@ class ReconNet:
         if y.geom.fingerprint != self.geom.fingerprint:
             raise GeometryError("sinogram geometry does not match the model's")
         bundle = self.register_views(y.subset)
-        return build_context(y, bundle, self.groups)
+        return build_context(y, bundle, self.groups, first_stack=not self.zero_init_image)
 
     def _stage_loop(self, ctx: StageContext, tape: ad.Tape, pnode_sets, n_iters: int):
         """Yield the initial image, then the iterate after each stage.
 
         Stage `it` uses parameter set min(it, last), which serves shared and
         per-stage parameters, and holds the last set past the unfolded depth.
+        A loop from x0 takes its first stack from the context, which then
+        drops it, so later stages do not hold it too.
         """
         last = len(pnode_sets) - 1
         x = tape.constant(np.zeros(self.geom.grid) if self.zero_init_image else ctx.x0)
         yield x
         for it in range(n_iters):
-            stack = assemble_stack(x, ctx, self.groups)
+            if it == 0 and ctx.first_stack is not None:
+                stack, ctx.first_stack = tape.constant(ctx.first_stack), None
+            else:
+                stack = assemble_stack(x, ctx, self.groups)
             x = apply_correction(stack, pnode_sets[min(it, last)], self.cfg)
             yield x
 

@@ -16,9 +16,14 @@ exists separately for gradients). Channel names, in stack order:
 
 The refined estimate r = x + e_data - e_null telescopes to the sparse-view
 FBP x0 = fbp_s(y_s) for any stage input x, so e_full_r and e_null_r are
-measurement-only: `build_context` computes them once from x0, for the groups
-that read them, and every stage takes them as constants. Optional channel
-groups ("interp", "full", "data", "null") gate which are computed; x_prev is
+measurement-only. A stage loop that starts from x0 has a first stack that
+depends only on the measurement too: `build_context` computes it once, and
+e_full_r and e_null_r are its e_full_x and e_null. Every later stage takes
+them as constants. Wherever a stage projects onto the full views, P_s x is
+read from the subset's rows of P_f x, which equal it bitwise (each view
+applies the same table to the same turned image in both operators); its
+node still has x as parent and P_s^T as vjp. Optional channel groups
+("interp", "full", "data", "null") gate which are computed; x_prev is
 always present.
 """
 
@@ -109,9 +114,13 @@ class StageContext:
 
     x0 is the sparse-view FBP of the data; x_interp is the FBP of the
     view-interpolated sinogram; e_full_r and e_null_r are the reprojection
-    errors of x0. All depend only on (y_s, geometry), so they are computed
-    once per forward pass, not per stage. A field whose channel group is
-    not enabled is None.
+    errors of x0. first_stack is the (c, H, W) stack of a stage whose input
+    is x0, so the first stage of a loop that starts from x0 makes no
+    operator call; e_full_r and e_null_r are its e_full_x and e_null. All
+    depend only on (y_s, geometry), so they are computed once per forward
+    pass, not per stage. A field whose channel group is not enabled is
+    None, and so is first_stack for a loop that starts elsewhere or once
+    the loop has taken it.
     """
 
     bundle: OperatorBundle
@@ -120,57 +129,96 @@ class StageContext:
     x_interp: np.ndarray | None
     e_full_r: np.ndarray | None
     e_null_r: np.ndarray | None
+    first_stack: np.ndarray | None = None
 
 
 def build_context(
-    y: Sinogram, bundle: OperatorBundle, groups: frozenset[str] = ALL_GROUPS
+    y: Sinogram,
+    bundle: OperatorBundle,
+    groups: frozenset[str] = ALL_GROUPS,
+    first_stack: bool = True,
 ) -> StageContext:
-    """Compute x0 and the measurement-only channels the groups read."""
+    """Compute x0 and the measurement-only channels the groups read.
+
+    With `first_stack` (a stage loop that starts from x0) the context also
+    holds that first stage's stack; without it, only the e_full_r and
+    e_null_r its groups read.
+    """
     if not np.array_equal(y.subset.indices, bundle.subset.indices):
         raise GeometryError("sinogram subset does not match the operator bundle")
     x0 = bundle.fbp_s.apply(y.data)
-    x_interp = e_full_r = e_null_r = None
+    x_interp = None
     if "interp" in groups:
         x_interp = bundle.fbp_f.apply(bundle.upsampler.apply(y.data))
+    ctx = StageContext(bundle, y.data, x0, x_interp, None, None)
+    at_x0 = groups if first_stack else groups & {"full", "null"}
+    tape = ad.Tape()
+    chans = _input_channels(tape.constant(x0), ctx, at_x0)
     if "full" in groups:
-        e_full_r = x0 - bundle.fbp_f.apply(bundle.proj_f.apply(x0))
+        ctx.e_full_r = chans["e_full_x"].value
     if "null" in groups:
-        e_null_r = x0 - bundle.fbp_s.apply(bundle.proj_s.apply(x0))
-    return StageContext(bundle, y.data, x0, x_interp, e_full_r, e_null_r)
+        ctx.e_null_r = chans["e_null"].value
+    if first_stack:
+        chans.update(_context_channels(tape, ctx, groups))
+        ctx.first_stack = np.stack([chans[n].value for n in CHANNEL_ORDER if n in chans])
+    return ctx
+
+
+def _input_channels(
+    x: ad.TensorNode, ctx: StageContext, groups: frozenset[str]
+) -> dict[str, ad.TensorNode]:
+    """The channels that depend on the stage input x, as graph nodes."""
+    b = ctx.bundle
+    out: dict[str, ad.TensorNode] = {"x_prev": x}
+    need_interp = "interp" in groups
+    need_back = "null" in groups or "data" in groups
+
+    # The ps_x node is recorded before the pf_x node: backward adds their
+    # contributions to x's gradient in reverse tape order, so this order fixes
+    # the rounding of that sum.
+    ps_x = pf_x = None
+    if need_interp or "full" in groups:
+        pf = b.proj_f.apply(x.value)
+        if need_back or need_interp:
+            ps_x = ad.linear_op(x, b.proj_s, pf[b.subset.indices])
+        pf_x = ad.linear_op(x, b.proj_f, pf)
+    elif need_back:
+        ps_x = ad.linear_op(x, b.proj_s)
+
+    if need_back:
+        back = ad.linear_op(ps_x, b.fbp_s)
+    if need_interp:
+        interp = ad.linear_op(ps_x, b.upsampler)
+        out["e_interp"] = ad.linear_op(interp - pf_x, b.fbp_f)
+    if "full" in groups:
+        out["e_full_x"] = x - ad.linear_op(pf_x, b.fbp_f)
+    if "data" in groups:
+        out["e_data"] = x.tape.constant(ctx.x0) - back
+    if "null" in groups:
+        out["e_null"] = x - back
+    return out
+
+
+def _context_channels(
+    tape: ad.Tape, ctx: StageContext, groups: frozenset[str]
+) -> dict[str, ad.TensorNode]:
+    """The measurement-only channels, as constants on the tape."""
+    out = {}
+    if "interp" in groups:
+        out["x_interp"] = tape.constant(ctx.x_interp)
+    if "full" in groups:
+        out["e_full_r"] = tape.constant(ctx.e_full_r)
+    if "null" in groups:
+        out["e_null_r"] = tape.constant(ctx.e_null_r)
+    return out
 
 
 def stage_channels(
     x: ad.TensorNode, ctx: StageContext, groups: frozenset[str] = ALL_GROUPS
 ) -> dict[str, ad.TensorNode]:
     """Compute the enabled channels as graph nodes; x is the stage input."""
-    b, tape = ctx.bundle, x.tape
-    out: dict[str, ad.TensorNode] = {"x_prev": x}
-    need_full = "full" in groups
-    need_null = "null" in groups
-    need_interp = "interp" in groups
-    need_back = need_null or ("data" in groups)
-
-    ps_x = None
-    if need_back or need_interp:
-        ps_x = ad.linear_op(x, b.proj_s)
-    pf_x = None
-    if need_full or need_interp:
-        pf_x = ad.linear_op(x, b.proj_f)
-
-    if need_back:
-        back = ad.linear_op(ps_x, b.fbp_s)
-    if need_interp:
-        out["x_interp"] = tape.constant(ctx.x_interp)
-        interp = ad.linear_op(ps_x, b.upsampler)
-        out["e_interp"] = ad.linear_op(interp - pf_x, b.fbp_f)
-    if need_full:
-        out["e_full_x"] = x - ad.linear_op(pf_x, b.fbp_f)
-        out["e_full_r"] = tape.constant(ctx.e_full_r)
-    if "data" in groups:
-        out["e_data"] = tape.constant(ctx.x0) - back
-    if need_null:
-        out["e_null"] = x - back
-        out["e_null_r"] = tape.constant(ctx.e_null_r)
+    out = _input_channels(x, ctx, groups)
+    out.update(_context_channels(x.tape, ctx, groups))
     return out
 
 

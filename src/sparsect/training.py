@@ -51,6 +51,9 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if not self.view_schedule:
             raise ValueError("view_schedule must not be empty")
+        # The configs the loop builds from lr and gamma check them.
+        AdamConfig(lr=self.lr)
+        LossConfig(gamma=self.gamma)
 
 
 @dataclass

@@ -237,6 +237,18 @@ class TestValidation:
         with pytest.raises(CheckpointError, match=r"c_in 7 .*\[1, 2, 3, 4, 5, 6, 8\]"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [(0.02, -0.02), (0.85, 1.5)], ids=["lr", "beta1"])
+    def test_invalid_optimizer_setting_rejected(self, tiny_fan, tmp_path, field, value):
+        m = tiny_model(tiny_fan)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m, optimizer=Adam(m.named_parameters(), AdamConfig(lr=0.02, beta1=0.85)))
+        raw = path.read_bytes()
+        old = struct.pack("<d", field)
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, struct.pack("<d", value)))
+        with pytest.raises(CheckpointError, match="optimizer settings"):
+            load_checkpoint(path)
+
     def test_restores_demand_matching_state_blocks(self, tiny_fan, tmp_path):
         m = tiny_model(tiny_fan)
         path = tmp_path / "m.ckpt"

@@ -358,3 +358,27 @@ def test_ablate_checks_every_letter_before_training(tmp_path, monkeypatch, capsy
     assert rc == 2
     assert "unknown variant 'z'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [["--lr=-1e-5"], ["--lr", "nan"], ["--gamma", "-2"]],
+                         ids=["negative-lr", "nan-lr", "negative-gamma"])
+def test_finetune_refuses_bad_settings_and_writes_nothing(tmp_path, geom_file, capsys, setting):
+    ck, sino = _tiny_checkpoint(tmp_path, geom_file)
+    out = tmp_path / "tuned.ckpt"
+    rc = main(["finetune", "--geometry", geom_file, "--views", "6", "--checkpoint", ck,
+               "--epochs", "1", *setting, sino, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and setting[0][2:].split("=")[0] in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_train_refuses_a_negative_rate_before_training(tmp_path, geom_file, capsys):
+    man, _, _ = _write_train_setup(tmp_path, geom_file)
+    ck = tmp_path / "model.ckpt"
+    args = [a if a != "1e-3" else "-0.001" for a in TRAIN_ARGS]
+    rc = main(["train", "--geometry", geom_file, "--manifest", man, *args,
+               "--checkpoint", str(ck)])
+    assert rc == 2
+    assert "lr must be finite and > 0" in capsys.readouterr().err
+    assert not ck.exists()

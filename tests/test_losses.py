@@ -156,6 +156,16 @@ class TestSsimGraph:
         assert np.abs(leaf.grad - fd).max() < 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
+class TestLossConfig:
+    @pytest.mark.parametrize("gamma", [-2.0, -1e-12, float("nan")])
+    def test_gamma_must_be_non_negative(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            LossConfig(gamma=gamma)
+
+    def test_zero_gamma_is_pure_l1(self):
+        assert LossConfig(gamma=0.0).gamma == 0.0
+
+
 class TestTotalLoss:
     def test_identical_inputs_all_terms_exactly_zero(self, rng):
         a = rng.random((12, 12))

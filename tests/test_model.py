@@ -166,7 +166,7 @@ class TestForward:
         out = m.forward(y)
         assert out.data.shape == tiny_fan.grid
 
-    @pytest.mark.parametrize("variant, calls", [("a", 1), ("g", 7)])
+    @pytest.mark.parametrize("variant, calls", [("a", 1), ("g", 8)])
     def test_context_makes_only_the_operator_calls_its_groups_read(
         self, tiny_fan, monkeypatch, variant, calls
     ):

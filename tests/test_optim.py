@@ -106,3 +106,29 @@ class TestState:
         snap["m"] = {"other": np.zeros(1)}
         with pytest.raises(KeyError):
             opt.load_state(snap)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("lr", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_lr_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            AdamConfig(lr=lr)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5, float("nan")])
+    def test_beta1_must_lie_in_unit_interval(self, beta):
+        with pytest.raises(ValueError, match="beta1"):
+            AdamConfig(beta1=beta)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5, float("nan")])
+    def test_beta2_must_lie_in_unit_interval(self, beta):
+        with pytest.raises(ValueError, match="beta2"):
+            AdamConfig(beta2=beta)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            AdamConfig(eps=eps)
+
+    def test_edges_that_stay_valid(self):
+        cfg = AdamConfig(lr=1e-12, beta1=0.0, beta2=0.0, eps=1e-300)
+        assert (cfg.beta1, cfg.beta2) == (0.0, 0.0)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsect.experiments import toy_geometry
 from sparsect.geometry import (
     Image,
+    ViewSubset,
     full_subset,
     make_geometry,
     sparse_subset,
@@ -19,7 +21,14 @@ from sparsect.projector import (
     forward_project,
 )
 
-from conftest import MIRROR_CASES, dense_from_op, mirror_case, unpartnered_fan
+from conftest import (
+    MIRROR_CASES,
+    dense_from_op,
+    fista_tv_geometry,
+    mirror_case,
+    recon_mid_geometry,
+    unpartnered_fan,
+)
 
 
 def _rays_matrix(geom, subset=None):
@@ -255,6 +264,44 @@ class TestMirrorOrbits:
         y = rng.standard_normal(proj.out_shape)
         assert _rel(proj.apply(x), _reference_rows(proj, x)) <= 1e-12
         assert _rel(proj.applyT(y), _reference_transpose(proj, y)) <= 1e-12
+
+
+# Scans whose subset rows are read off the full-view sinogram: fan and
+# parallel beams, square grids (with quarter-turn and mirrored partners) and
+# non-square ones (every view its own representative).
+_SUBSET_ROW_CASES = {
+    "recon-mid-q32": (recon_mid_geometry, 32),
+    "fista-tv-q45": (fista_tv_geometry, 45),
+    "toy-q15": (toy_geometry, 15),
+    "fan-9x14-irregular": (lambda: make_geometry(
+        "fan", n_views=40, n_det=31, det_spacing=2.0, grid=(9, 14),
+        pixel_size=1.0, src_dist=30.0, det_dist=25.0), [0, 3, 4, 17, 29, 39]),
+    "parallel-12x7-q5": (lambda: make_geometry(
+        "parallel", n_views=30, n_det=17, det_spacing=1.0, grid=(12, 7),
+        pixel_size=1.0), 5),
+}
+
+
+class TestSubsetRows:
+    """The model reads P_s x off the subset's rows of P_f x: each view applies
+    the same table to the same turned image in both operators, so the rows
+    are bitwise equal, whether or not the cores keep their tables."""
+
+    @pytest.mark.parametrize("kept", [True, False])
+    @pytest.mark.parametrize("case", sorted(_SUBSET_ROW_CASES))
+    def test_sparse_rows_equal_full_rows_bitwise(self, case, kept, monkeypatch):
+        make, views = _SUBSET_ROW_CASES[case]
+        geom = make()
+        if isinstance(views, int):
+            sub = sparse_subset(geom, views)
+        else:
+            sub = ViewSubset(np.array(views), len(views))
+        if not kept:
+            monkeypatch.setattr(projector, "_CACHE_LIMIT_BYTES", 0)
+        proj_s, proj_f = JosephProjector(geom, sub), JosephProjector(geom, full_subset(geom))
+        assert proj_s._core.admitted == proj_f._core.admitted == kept
+        x = np.random.default_rng(23).standard_normal(geom.grid)
+        assert np.array_equal(proj_s.apply(x), proj_f.apply(x)[sub.indices])
 
 
 class TestWrappers:

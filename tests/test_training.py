@@ -43,6 +43,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(steps=1, view_schedule=())
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_learning_rate_that_is_not_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(steps=1, view_schedule=(5,), lr=lr)
+
+    @pytest.mark.parametrize("gamma", [-2.0, float("nan")])
+    def test_rejects_a_negative_or_nan_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            TrainConfig(steps=1, view_schedule=(5,), gamma=gamma)
+        assert TrainConfig(steps=1, view_schedule=(5,), gamma=0.0).gamma == 0.0
+
 
 class TestTrainLoop:
     def test_runs_and_registers_schedule(self, tiny_fan):
