@@ -1,7 +1,9 @@
 """Minimal reverse-mode differentiation over float64 numpy arrays.
 
 A Tape records nodes in creation order (already topological); backward walks
-the list once in reverse accumulating vector-Jacobian products. Only nodes
+the list once in reverse accumulating vector-Jacobian products, and releases
+each non-leaf node's gradient and vjp closures as soon as they have been used,
+so only leaves (parameters and inputs) end with a gradient. Only nodes
 on a gradient path are recorded; any other node keeps its value but not its
 parents or vjp closures, so a graph of constants records nothing. Exactly the
 primitives the reconstruction network composes are provided: 3x3 stride-1
@@ -221,67 +223,78 @@ def linear_op(x, op, value=None):
 # convolutions
 # ---------------------------------------------------------------------------
 
-# Bytes of one row band of the im2col matrix that `_conv3x3_raw` builds. A
+# Bytes of one row band of the im2col matrix that `_im2col_bands` builds. A
 # conv whose whole matrix fits makes one band and one GEMM; a larger one
-# (64 channels at 128x128 is 72 MiB) never holds more than a band at once
-# unless its node is recorded.
+# (64 channels at 128x128 is 72 MiB) never holds more than a band at once,
+# recorded or not: the weight gradient rebuilds each band from the input.
 _BAND_BYTES = 8 * 2**20
 
 
-def _conv3x3_raw(x, w, keep: bool = False):
-    """3x3 convolution of x:(C,H,W) by w:(O,C,3,3), im2col in row bands.
+def _im2col_bands(x):
+    """The im2col matrix of x:(C,H,W) for a 3x3 stride-1 zero-padded conv,
+    in row bands of at most `_BAND_BYTES`.
 
-    Each band holds the 3x3 patches of a run of output rows, and one GEMM
-    per band writes those rows. Returns (output, bands): with `keep` the
-    bands, in row order, for the weight gradient; without it none, and each
-    band is freed before the next is built.
+    Yields (start, cols) in row order: cols:(C*9, n) is a fresh copy holding
+    the patches of output pixels start .. start + n in row-major order.
     """
     c, h, wd = x.shape
-    o = w.shape[0]
     xp = np.zeros((c, h + 2, wd + 2))
     xp[:, 1:-1, 1:-1] = x
     # win[ci, di, dj, i, j] = xp[ci, i + di, j + dj]: the patches as a view
     sc, sh, sw = xp.strides
     win = np.ndarray((c, 3, 3, h, wd), xp.dtype, xp, 0, (sc, sh, sw, sh, sw))
-    wm = w.reshape(o, c * 9)
     step = max(1, _BAND_BYTES // (c * 9 * wd * 8))
+    for r in range(0, h, step):
+        yield r * wd, win[:, :, :, r: r + step].reshape(c * 9, -1)
+
+
+def _conv3x3_raw(x, w):
+    """3x3 convolution of x:(C,H,W) by w:(O,C,3,3), one GEMM per im2col band.
+
+    Each band is freed before the next is built.
+    """
+    c, h, wd = x.shape
+    o = w.shape[0]
+    wm = w.reshape(o, c * 9)
     out = np.empty((o, h, wd))
     flat = out.reshape(o, h * wd)
-    bands = []
-    for r in range(0, h, step):
-        cols = win[:, :, :, r: r + step].reshape(c * 9, -1)
-        np.matmul(wm, cols, out=flat[:, r * wd: r * wd + cols.shape[1]])
-        if keep:
-            bands.append(cols)
+    for n, cols in _im2col_bands(x):
+        np.matmul(wm, cols, out=flat[:, n: n + cols.shape[1]])
         del cols
-    return out, bands
+    return out
 
 
 def conv3x3(x, w, b):
-    """3x3 convolution, stride 1, zero padding 1. x:(C,H,W) w:(O,C,3,3) b:(O,)."""
+    """3x3 convolution, stride 1, zero padding 1. x:(C,H,W) w:(O,C,3,3) b:(O,).
+
+    The node keeps no im2col matrix: the weight gradient rebuilds it band by
+    band from x and sums the bands' products in row order.
+    """
     xv, wv, bv = x.value, w.value, b.value
-    rg = x.requires_grad or w.requires_grad or b.requires_grad
-    out, bands = _conv3x3_raw(xv, wv, keep=rg)
+    out = _conv3x3_raw(xv, wv)
     out += bv[:, None, None]
     o = wv.shape[0]
 
     def vjp_x(g):
         wflip = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx, _ = _conv3x3_raw(np.ascontiguousarray(g), np.ascontiguousarray(wflip))
-        return dx
+        return _conv3x3_raw(np.ascontiguousarray(g), np.ascontiguousarray(wflip))
 
     def vjp_w(g):
         g = g.reshape(o, -1)
-        n = bands[0].shape[1]
-        dw = g[:, :n] @ bands[0].T
-        for cols in bands[1:]:
-            dw += g[:, n: n + cols.shape[1]] @ cols.T
-            n += cols.shape[1]
+        dw = None
+        for n, cols in _im2col_bands(xv):
+            part = g[:, n: n + cols.shape[1]] @ cols.T
+            del cols
+            if dw is None:
+                dw = part
+            else:
+                dw += part
         return dw.reshape(wv.shape)
 
     def vjp_b(g):
         return g.sum(axis=(1, 2))
 
+    rg = x.requires_grad or w.requires_grad or b.requires_grad
     return x.tape._record(out, ((x, vjp_x), (w, vjp_w), (b, vjp_b)), rg)
 
 
@@ -380,7 +393,13 @@ def crop_br(x, height, width):
 # ---------------------------------------------------------------------------
 
 def backward(root: TensorNode):
-    """Accumulate gradients of a scalar root into every contributing node."""
+    """Accumulate gradients of a scalar root into every contributing leaf.
+
+    Walking the tape in reverse, each non-leaf node drops its gradient and
+    its parents (with their vjp closures and whatever those hold) once its
+    vjps have run, so memory falls as the walk goes. Leaves keep their
+    gradients, and every node keeps its value.
+    """
     tape = root.tape
     if tape.consumed:
         raise TapeError("tape already differentiated; build a fresh forward pass")
@@ -389,10 +408,15 @@ def backward(root: TensorNode):
     tape.consumed = True
     root.grad = np.ones_like(root.value)
     for node in reversed(tape.nodes):
-        g = node.grad
+        parents, g = node.parents, node.grad
+        if not parents:
+            continue  # a leaf keeps its gradient
+        # Every consumer of this node comes later on the tape and has run, so
+        # its gradient is complete; once its vjps run, nothing reads it again.
+        node.parents, node.grad = (), None
         if g is None:
             continue
-        for parent, vjp in node.parents:
+        for parent, vjp in parents:
             if not parent.requires_grad:
                 continue
             contrib = vjp(g)

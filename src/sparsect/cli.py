@@ -8,6 +8,7 @@ container intentionally stores no scan metadata.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -284,8 +285,23 @@ def _add_geometry(p):
     p.add_argument("--geometry", required=True, help="preset name or key=value config file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any token of a minus sign and a digit,
+    or a minus sign, a point and a digit, as a value.
+
+    Before Python 3.13 argparse's negative-number pattern has no exponent
+    form, so `--lr -1e-5` failed as a missing argument instead of reaching
+    the config check. No option of this CLI starts with a digit, and
+    subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="sparsect", description=__doc__)
+    ap = _Parser(prog="sparsect", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate a test image")

@@ -270,6 +270,64 @@ class TestBandedConv:
         assert np.abs(out.value - want).max() <= 1e-12 * np.abs(want).max()
 
 
+class TestRebuiltBands:
+    """A recorded `conv3x3` keeps no im2col bands: `vjp_w` rebuilds them from
+    the input and sums their products in the forward's row order, so every
+    gradient equals the kept-band computation bit for bit."""
+
+    @staticmethod
+    def kept_band_grads(x, w, b, g):
+        """The four arrays of `_conv3x3_grads`, with the weight gradient summed
+        over bands kept from the forward pass, as `conv3x3` once did."""
+        o = w.shape[0]
+        out, bands = _conv3x3_raw_padded_windows(x, w, keep=True)
+        wflip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        dx, _ = _conv3x3_raw_padded_windows(np.ascontiguousarray(g), wflip, keep=False)
+        gm = g.reshape(o, -1)
+        n = bands[0].shape[1]
+        dw = gm[:, :n] @ bands[0].T
+        for cols in bands[1:]:
+            dw += gm[:, n: n + cols.shape[1]] @ cols.T
+            n += cols.shape[1]
+        return [out + b[:, None, None], dx, dw.reshape(w.shape), g.sum(axis=(1, 2))]
+
+    # (c, o, h, w): the toy scale (32x32, width 8), an odd shape, and
+    # recon-mid's 128x128 at width 32, which makes 5 bands
+    @pytest.mark.parametrize("shape", [
+        (8, 8, 32, 32), (3, 2, 5, 7), (32, 32, 128, 128),
+    ])
+    def test_gradients_equal_kept_bands_bitwise(self, rng, shape):
+        c, o, h, wd = shape
+        arrays = (rng.standard_normal((c, h, wd)), rng.standard_normal((o, c, 3, 3)),
+                  rng.standard_normal(o), rng.standard_normal((o, h, wd)))
+        for got, want in zip(_conv3x3_grads(*arrays), self.kept_band_grads(*arrays)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_gradients_equal_kept_bands_bitwise_in_narrow_bands(self, rng, rows, monkeypatch):
+        arrays = (rng.standard_normal((6, 20, 11)), rng.standard_normal((5, 6, 3, 3)),
+                  rng.standard_normal(5), rng.standard_normal((5, 20, 11)))
+        monkeypatch.setattr(ad, "_BAND_BYTES", rows * 6 * 9 * 11 * 8)
+        assert len(list(ad._im2col_bands(arrays[0]))) == -(-20 // rows)
+        for got, want in zip(_conv3x3_grads(*arrays), self.kept_band_grads(*arrays)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_recorded_conv_retains_only_its_output(self, rng):
+        t = Tape()
+        x = t.leaf(rng.standard_normal((8, 128, 128)))  # 1 MiB; its bands are 9 MiB
+        w = t.leaf(rng.standard_normal((8, 8, 3, 3)))
+        b = t.leaf(rng.standard_normal(8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ad.conv3x3(x, w, b)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert t.nodes[-1] is y
+        assert retained <= 1.05 * y.value.nbytes
+
+
 def _conv3x3_raw_padded_windows(x, w, keep):
     """`_conv3x3_raw` through np.pad and sliding_window_view, band for band."""
     c, h, wd = x.shape
@@ -288,9 +346,10 @@ def _conv3x3_raw_padded_windows(x, w, keep):
 
 
 class TestConvPatchView:
-    """`_conv3x3_raw` pads by slice assignment and takes its patches as a
-    strided view; outputs and kept bands equal the np.pad + sliding_window_view
-    formulation bit for bit."""
+    """`_im2col_bands` pads by slice assignment and takes its patches as a
+    strided view; `_conv3x3_raw`'s output, and with `keep` the bands the
+    generator yields (those `vjp_w` rebuilds), equal the np.pad +
+    sliding_window_view formulation bit for bit."""
 
     # (c, o, h, w): convs at the toy scale (32x32, width 8) and at the
     # recon-mid scale (128x128, width 32, in 2 and 5 bands); an odd shape
@@ -303,7 +362,8 @@ class TestConvPatchView:
         c, o, h, wd = shape
         x = rng.standard_normal((c, h, wd))
         w = rng.standard_normal((o, c, 3, 3))
-        out, bands = ad._conv3x3_raw(x, w, keep=keep)
+        out = ad._conv3x3_raw(x, w)
+        bands = [cols for _, cols in ad._im2col_bands(x)] if keep else []
         want, want_bands = _conv3x3_raw_padded_windows(x, w, keep)
         assert np.array_equal(out, want)
         assert len(bands) == len(want_bands)
@@ -377,6 +437,30 @@ class TestFiniteDifferenceOracle:
 
 
 class TestTapeDiscipline:
+    def test_backward_releases_non_leaf_grads_and_parents(self, rng):
+        t = Tape()
+        x = t.leaf(rng.standard_normal((2, 6, 5)))
+        w = t.leaf(rng.standard_normal((3, 2, 3, 3)))
+        b = t.leaf(rng.standard_normal(3))
+        c = t.constant(rng.standard_normal((3, 6, 5)))
+        h = ad.conv3x3(x, w, b)
+        a = ad.leaky_relu(h, 0.1)
+        p = a * c + a * a
+        loss = ad.sum_(p)
+        want_loss = loss.value.copy()
+        # the same loss by hand: d/da (a c + a^2) = c + 2a, through the ReLU
+        hv, av, cv = h.value, a.value, c.value
+        dh = (cv + 2 * av) * np.where(hv >= 0, 1.0, 0.1)
+        ad.backward(loss)
+        for node in (h, a, p, loss):
+            assert node.grad is None
+            assert node.parents == ()
+        assert np.array_equal(loss.value, want_loss)
+        want = _conv3x3_grads(x.value, w.value, b.value, dh)[1:]
+        for leaf, ref in zip((x, w, b), want):
+            assert np.allclose(leaf.grad, ref, rtol=1e-12, atol=1e-12)
+        assert not t.nodes
+
     def test_backward_twice_rejected(self):
         t = Tape()
         x = t.leaf(np.array([1.0]))

@@ -382,3 +382,40 @@ def test_train_refuses_a_negative_rate_before_training(tmp_path, geom_file, caps
     assert rc == 2
     assert "lr must be finite and > 0" in capsys.readouterr().err
     assert not ck.exists()
+
+
+# argparse before Python 3.13 took "-1e-5" for an option and failed with
+# "expected one argument"; every spelling now reaches the config checks.
+@pytest.mark.parametrize("setting", [["--lr", "-1e-5"], ["--lr", "-1E+2"], ["--lr", "-.5"],
+                                     ["--gamma", "-2e-3"]],
+                         ids=["lr-exponent", "lr-upper-exponent", "lr-point", "gamma-exponent"])
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_negative_values_in_any_spelling_reach_the_config_check(
+        tmp_path, geom_file, capsys, command, setting):
+    if command == "train":
+        man, _, _ = _write_train_setup(tmp_path, geom_file)
+        written = tmp_path / "model.ckpt"
+        args = ["train", "--geometry", geom_file, "--manifest", man,
+                *TRAIN_ARGS, *setting, "--checkpoint", str(written)]
+    else:
+        ck, sino = _tiny_checkpoint(tmp_path, geom_file)
+        written = tmp_path / "tuned.ckpt"
+        args = ["finetune", "--geometry", geom_file, "--views", "6", "--checkpoint", ck,
+                "--epochs", "1", *setting, sino, "--out", str(written)]
+    capsys.readouterr()
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    want = "lr must be finite and > 0" if setting[0] == "--lr" else "gamma must be >= 0"
+    assert captured.err.startswith("error:") and want in captured.err
+    assert captured.out == "" and not written.exists()
+
+
+def test_train_accepts_an_exponent_form_rate(tmp_path, geom_file, capsys):
+    man, _, _ = _write_train_setup(tmp_path, geom_file)
+    ck = tmp_path / "model.ckpt"
+    args = [a if a != "1e-3" else "1e-5" for a in TRAIN_ARGS]
+    assert main(["train", "--geometry", geom_file, "--manifest", man, *args,
+                 "--checkpoint", str(ck)]) == 0
+    assert "trained 4 steps" in capsys.readouterr().out
+    assert ck.exists()
