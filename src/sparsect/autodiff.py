@@ -224,9 +224,11 @@ def linear_op(x, op, value=None):
 # ---------------------------------------------------------------------------
 
 # Bytes of one row band of the im2col matrix that `_im2col_bands` builds. A
-# conv whose whole matrix fits makes one band and one GEMM; a larger one
-# (64 channels at 128x128 is 72 MiB) never holds more than a band at once,
-# recorded or not: the weight gradient rebuilds each band from the input.
+# conv whose whole matrix fits makes one band and one GEMM. A larger one
+# (64 channels at 128x128 is 72 MiB, in 10 bands of 14 rows) holds one band
+# at a time, plus that band's padded rows while it is built (7.9 + 1.0 MiB
+# there), and never a padded copy of its whole input, recorded or not: the
+# weight gradient rebuilds each band from the input.
 _BAND_BYTES = 8 * 2**20
 
 
@@ -235,17 +237,28 @@ def _im2col_bands(x):
     in row bands of at most `_BAND_BYTES`.
 
     Yields (start, cols) in row order: cols:(C*9, n) is a fresh copy holding
-    the patches of output pixels start .. start + n in row-major order.
+    the patches of output pixels start .. start + n in row-major order. No
+    padded copy of x is made: each band zero-pads only its own rows and a
+    one-row halo above and below, which holds the neighbour rows of x, or
+    zeros at the top and bottom edges. The padded rows are dropped before
+    the band is yielded, and the band once the generator resumes, so a
+    consumer that drops its own reference first holds one band at a time.
     """
     c, h, wd = x.shape
-    xp = np.zeros((c, h + 2, wd + 2))
-    xp[:, 1:-1, 1:-1] = x
-    # win[ci, di, dj, i, j] = xp[ci, i + di, j + dj]: the patches as a view
-    sc, sh, sw = xp.strides
-    win = np.ndarray((c, 3, 3, h, wd), xp.dtype, xp, 0, (sc, sh, sw, sh, sw))
     step = max(1, _BAND_BYTES // (c * 9 * wd * 8))
     for r in range(0, h, step):
-        yield r * wd, win[:, :, :, r: r + step].reshape(c * 9, -1)
+        n = min(step, h - r)
+        lo, hi = max(r - 1, 0), min(r + n + 1, h)
+        # row k of xp is row r - 1 + k of x
+        xp = np.zeros((c, n + 2, wd + 2))
+        xp[:, lo - r + 1: hi - r + 1, 1:-1] = x[:, lo:hi]
+        # win[ci, di, dj, i, j] = xp[ci, i + di, j + dj]: the patches as a view
+        sc, sh, sw = xp.strides
+        win = np.ndarray((c, 3, 3, n, wd), xp.dtype, xp, 0, (sc, sh, sw, sh, sw))
+        cols = win.reshape(c * 9, -1)
+        del xp, win
+        yield r * wd, cols
+        del cols
 
 
 def _conv3x3_raw(x, w):
@@ -283,12 +296,12 @@ def conv3x3(x, w, b):
         g = g.reshape(o, -1)
         dw = None
         for n, cols in _im2col_bands(xv):
-            part = g[:, n: n + cols.shape[1]] @ cols.T
-            del cols
+            gb = g[:, n: n + cols.shape[1]]
             if dw is None:
-                dw = part
+                dw = gb @ cols.T
             else:
-                dw += part
+                dw += gb @ cols.T
+            del cols
         return dw.reshape(wv.shape)
 
     def vjp_b(g):
@@ -360,7 +373,10 @@ def replicate_pad_br(x, pad_h, pad_w):
     """Replicate the last row/column pad_h/pad_w times. x:(C,H,W)."""
     xv = x.value
     c, h, wd = xv.shape
-    out = np.pad(xv, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
+    out = np.empty((c, h + pad_h, wd + pad_w))
+    out[:, :h, :wd] = xv
+    out[:, :h, wd:] = xv[:, :, wd - 1: wd]
+    out[:, h:] = out[:, h - 1: h]
 
     def vjp(g):
         dx = g[:, : h + pad_h, : wd].copy() if pad_w else g[:, : h + pad_h, :].copy()

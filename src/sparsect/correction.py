@@ -6,6 +6,13 @@ recursive coarse-grid block adds corrections computed at halved resolutions
 a tail conv maps back to one image channel. All activations are LeakyReLU.
 Parameters live in plain name->array dicts so the optimizer and checkpoint
 code can treat them uniformly.
+
+The forward graph drops each activation once its last consumer has read
+it. Without a gradient graph (constant parameters and input), nothing else
+holds an activation, so it is freed there: the paper's network (width 32,
+depth 5) peaks at about five full-resolution activations, at the fused
+smoother's concatenation. On a tape, recorded nodes keep what backward
+needs, as before.
 """
 
 from __future__ import annotations
@@ -104,18 +111,31 @@ def wrap_params(tape: ad.Tape, params: dict[str, np.ndarray]):
 # forward graph
 # ---------------------------------------------------------------------------
 
-def _smooth(x, pnodes, prefix, slope):
-    """Two 3x3 convs with LeakyReLU after each."""
-    h = ad.leaky_relu(
-        ad.conv3x3(x, pnodes[f"{prefix}.c1.w"], pnodes[f"{prefix}.c1.b"]), slope
-    )
+def _conv_act(x, pnodes, name, slope):
+    """LeakyReLU of the 3x3 conv `name` applied to x."""
     return ad.leaky_relu(
-        ad.conv3x3(h, pnodes[f"{prefix}.c2.w"], pnodes[f"{prefix}.c2.b"]), slope
+        ad.conv3x3(x, pnodes[f"{name}.w"], pnodes[f"{name}.b"]), slope
     )
+
+
+def _smooth(x, pnodes, prefix, slope):
+    """Two 3x3 convs with LeakyReLU after each. Rebinding `h` drops the first
+    activation once the second conv has read it."""
+    h = _conv_act(x, pnodes, f"{prefix}.c1", slope)
+    h = ad.conv3x3(h, pnodes[f"{prefix}.c2.w"], pnodes[f"{prefix}.c2.b"])
+    return ad.leaky_relu(h, slope)
 
 
 def _coarse_block(level, feat, pnodes, cfg: CorrectionConfig):
-    """Correction term at `level`; recurses one grid coarser until depth."""
+    """Correction term at `level`; recurses one grid coarser until depth.
+
+    Each activation is dropped once its last consumer has read it: the
+    padded, downsampled and coarse-corrected grids after the up-conv, the
+    two halves of the concatenation once it is built, and the concatenation
+    once the fused smoother's first conv has read it. The fused smoother is
+    written out rather than passed to `_smooth`, whose caller would hold
+    the concatenation through both convs.
+    """
     n, slope = cfg.depth, cfg.leaky_slope
     if level == n:
         return _smooth(feat, pnodes, f"g{n + 1}", slope)
@@ -127,10 +147,14 @@ def _coarse_block(level, feat, pnodes, cfg: CorrectionConfig):
     down = ad.conv2x2_down(g_even, pnodes[f"s{i}.w"], pnodes[f"s{i}.b"])
     mid = down + _coarse_block(level + 1, down, pnodes, cfg)
     up = ad.tconv2x2_up(mid, pnodes[f"st{i}.w"], pnodes[f"st{i}.b"])
+    del g_even, down, mid
     if pad_h or pad_w:
         up = ad.crop_br(up, h, w)
-    cat = ad.concat_channels([g, up])
-    return _smooth(cat, pnodes, f"gt{i}", slope)
+    x = ad.concat_channels([g, up])
+    del g, up
+    x = _conv_act(x, pnodes, f"gt{i}.c1", slope)
+    x = ad.conv3x3(x, pnodes[f"gt{i}.c2.w"], pnodes[f"gt{i}.c2.b"])
+    return ad.leaky_relu(x, slope)
 
 
 def apply_correction(stack, pnodes, cfg: CorrectionConfig):
@@ -140,7 +164,7 @@ def apply_correction(stack, pnodes, cfg: CorrectionConfig):
             f"stack has {stack.value.shape[0]} channels, config wants {cfg.c_in}"
         )
     slope = cfg.leaky_slope
-    feat = ad.leaky_relu(ad.conv3x3(stack, pnodes["cm.w"], pnodes["cm.b"]), slope)
+    feat = _conv_act(stack, pnodes, "cm", slope)
     feat = feat + _coarse_block(0, feat, pnodes, cfg)
-    img = ad.leaky_relu(ad.conv3x3(feat, pnodes["ca.w"], pnodes["ca.b"]), slope)
+    img = _conv_act(feat, pnodes, "ca", slope)
     return ad.reshape(img, img.value.shape[1:])

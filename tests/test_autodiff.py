@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +113,18 @@ class TestPrimitiveGradients:
             lambda t, x: ad.mean_(ad.crop_br(x, 4, 5) * ad.crop_br(x, 4, 5)),
             a,
         )
+
+    @pytest.mark.parametrize("pads", [(1, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("hw", [(5, 7), (33, 31)])
+    def test_replicate_pad_each_side(self, rng, pads, hw):
+        a = rng.standard_normal((2, *hw))
+        got = ad.replicate_pad_br(Tape().constant(a), *pads).value
+        want = np.pad(a, ((0, 0), (0, pads[0]), (0, pads[1])), mode="edge")
+        assert got.tobytes() == want.tobytes()
+        # weighted so that each replicated entry's gradient differs from the
+        # edge entry it copies
+        wt = rng.standard_normal(want.shape)
+        check_grad(lambda t, x: ad.sum_(ad.replicate_pad_br(x, *pads) * wt), a)
 
     def test_reshape(self, rng):
         a = rng.standard_normal((3, 4))
@@ -263,7 +279,7 @@ class TestBandedConv:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # one band is whole / 16; the padded input is about whole / 8
+        # one band is whole / 16, plus its padded rows while it is built
         assert peak < whole / 2
         assert not tape.nodes
         want = _conv3x3_im2col(x, w, np.zeros(4), np.zeros((4, 64, 64)))[0]
@@ -326,6 +342,99 @@ class TestRebuiltBands:
             tracemalloc.stop()
         assert t.nodes[-1] is y
         assert retained <= 1.05 * y.value.nbytes
+
+
+def _peak_bytes(fn, *args):
+    """The result of fn(*args) and the tracemalloc peak above what was
+    allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestConvTransients:
+    """A conv holds at most one im2col band and that band's padded rows on
+    top of its result: no padded copy of the whole input."""
+
+    # (c, o, h, w): 64 channels at 128x128 in 10 bands, and an odd shape in 5
+    @pytest.fixture(params=[(64, 32, 128, 128), (37, 5, 131, 97)], ids=str)
+    def conv(self, request, rng):
+        """Input, weight, a recorded conv of them (zero bias) and an output
+        gradient."""
+        c, o, h, wd = request.param
+        x, w = rng.standard_normal((c, h, wd)), rng.standard_normal((o, c, 3, 3))
+        t = Tape()
+        y = ad.conv3x3(t.leaf(x), t.leaf(w), t.leaf(np.zeros(o)))
+        return x, w, y, rng.standard_normal((o, h, wd))
+
+    @staticmethod
+    def bound(result):
+        return result.nbytes + ad._BAND_BYTES + 2**20
+
+    def test_forward(self, conv):
+        x, w, y, _ = conv
+        out, peak = _peak_bytes(ad._conv3x3_raw, x, w)
+        assert np.array_equal(out, y.value)
+        assert peak <= self.bound(out)
+
+    def test_input_gradient(self, conv):
+        *_, y, g = conv
+        vjp_x = y.parents[0][1]
+        dx, peak = _peak_bytes(vjp_x, g)
+        assert peak <= self.bound(dx)
+
+    def test_weight_gradient(self, conv):
+        *_, y, g = conv
+        vjp_w = y.parents[1][1]
+        dw, peak = _peak_bytes(vjp_w, g)
+        assert peak <= self.bound(dw)
+
+
+# A child process prints one hash of conv3x3's output, dx and dW at the
+# model's shapes (c, o, n): a smoother, the fused smoother (64 -> 32), the
+# head (9 -> 32) and the tail (32 -> 1) at 128x128, and a smoother at 256x256.
+_THREADS_CHILD = """
+import hashlib
+import numpy as np
+import sparsect.autodiff as ad
+h = hashlib.sha256()
+for c, o, n in [(32, 32, 128), (64, 32, 128), (9, 32, 128), (32, 1, 128), (32, 32, 256)]:
+    rng = np.random.default_rng([c, o, n])
+    t = ad.Tape()
+    x = t.leaf(rng.standard_normal((c, n, n)))
+    w = t.leaf(rng.standard_normal((o, c, 3, 3)))
+    b = t.leaf(rng.standard_normal(o))
+    y = ad.conv3x3(x, w, b)
+    ad.backward(ad.sum_(y * rng.standard_normal((o, n, n))))
+    for a in (y.value, x.grad, w.grad):
+        h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestBlasThreadCount:
+    """conv3x3's output and gradients do not depend on the BLAS thread
+    count: every band is its own GEMM, whose bits OpenBLAS keeps fixed
+    across thread counts at these shapes."""
+
+    def test_one_and_two_threads_agree_bitwise(self):
+        src = str(Path(ad.__file__).resolve().parents[1])
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            run = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            hashes.append(run.stdout.strip())
+        assert len(hashes[0]) == 64
+        assert hashes[0] == hashes[1]
 
 
 def _conv3x3_raw_padded_windows(x, w, keep):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,28 @@ class TestForward:
             tape.leaf(rng.standard_normal((2, 7, 9))), wrap_params(tape, params), cfg
         )
         assert out.value.shape == (7, 9)
+
+
+class TestInferenceMemory:
+    def test_peak_is_at_most_seven_activations(self):
+        """Without a gradient graph, the paper's network (width 32, depth 5)
+        drops each activation after its last use: at 256x256 its peak stays
+        within 7 full-resolution activations of 16 MiB each."""
+        cfg = CorrectionConfig(width=32, depth=5, c_in=9)
+        tape = Tape()
+        pnodes = {k: tape.constant(v) for k, v in init_params(cfg, seed=0).items()}
+        stack = tape.constant(np.random.default_rng(1).standard_normal((9, 256, 256)))
+        activation = 32 * 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = apply_correction(stack, pnodes, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.value.shape == (256, 256)
+        assert not tape.nodes
+        assert peak <= 7 * activation
 
 
 class TestGradients:
