@@ -122,6 +122,8 @@ def cmd_train(args) -> int:
     images = [_load_image(p, geom).data for p in man.paths("train")]
     schedule = tuple(int(v) for v in args.views.split(","))
     steps = args.steps if args.steps is not None else args.epochs * len(images)
+    if steps == 0:
+        raise ValueError("train needs at least one step; --steps or --epochs gives 0")
     model = ReconNet(
         geom,
         width=args.width,

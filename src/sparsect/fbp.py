@@ -5,14 +5,14 @@ differentiate through them. The ramp filter is the band-limited Ram-Lak
 kernel, not apodized: a real FFT of rows zero-padded to the next power of two
 at or above twice the detector count, times the half spectrum, then inverted.
 
-The backprojector and the view upsampler run on the projector's two-tap
-core. The backprojector supplies only its per-view detector taps
-(`_pixel_taps`), which `_pixel_table` turns into the core's pixel form: one
-index per pixel into the zero-padded detector row, and two weights.
+The backprojector runs on the projector's tap-table core. It supplies only
+its per-view detector taps (`_pixel_taps`), which `_pixel_table` turns into
+the core's table layout: one group over all pixels, with one index per pixel
+into the zero-padded detector row, and two weights.
 `projector._OrbitCore` builds them once per orbit of views under the
 symmetries of the square, keeps them in the process-wide table store when
 they are admitted, and runs the orbit loops over turned or transposed
-copies of the image: `apply` gathers through the taps, `applyT` scatters.
+copies of the image: `apply` gathers through the table, `applyT` scatters.
 The upsampler interpolates whole detector rows: each full view reads two
 consecutive rows of the subset's sinogram, extended by one wrap-around row
 at each end, with one weight per row.
@@ -35,7 +35,7 @@ from .geometry import (
     _view_subset,
     full_subset,
 )
-from .projector import _OrbitCore, _two_tap_pixel_form
+from .projector import _OrbitCore, _first_tap
 
 
 def ramp_response(n_pad: int, spacing: float) -> np.ndarray:
@@ -104,13 +104,14 @@ def _pixel_taps(geom: ScanGeometry, view: int) -> list:
     return [(slice(None), np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1), w0, w1)]
 
 
-def _pixel_table(geom: ScanGeometry, view: int):
-    """`_pixel_taps` of `view` in the pixel form of `projector._OrbitCore`.
+def _pixel_table(geom: ScanGeometry, view: int) -> list:
+    """`_pixel_taps` of `view` as the table of `projector._OrbitCore`.
 
-    The `_OrbitCore` builder: one index per pixel and the two weights.
+    The `_OrbitCore` builder: one group over all pixels, with one index per
+    pixel into the detector row padded by one zero at each end.
     """
-    [(_, *taps)] = _pixel_taps(geom, view)
-    return _two_tap_pixel_form(*taps)
+    [(_, i0, i1, w0, w1)] = _pixel_taps(geom, view)
+    return [(..., _first_tap(i0, i1, w1, 1) + 1, 1, w0, w1)]
 
 
 class PixelBackprojector:

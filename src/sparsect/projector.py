@@ -1,4 +1,4 @@
-"""Ray-driven forward projection and the two-tap core shared by all operators.
+"""Ray-driven forward projection and the tap-table core shared by all operators.
 
 Line integrals are accumulated by stepping along the dominant ray axis one
 pixel plane at a time and linearly interpolating between the two pixels the
@@ -19,12 +19,13 @@ turned or transposed copy of the image, a mirrored view with its detector
 row reversed. Other grids build one table per view. Each operator supplies
 only a module-level builder of its tables.
 
-A table has one of two forms, named after what each entry computes. A
-row-form table (the projector's) gives each detector cell its taps into the
-image; a pixel-form table (the backprojector's) gives each pixel its taps
-into the detector row. Each direction gathers through the form whose
-entries it computes. A kept projector table derives its pixel form once,
-so the projector's transpose gathers too; an unkept one scatters.
+Every table has one layout, a list of groups (cells, idx, stride, w_0,
+..., w_K-1). `_gather` adds the sum of w_k * src[idx + k*stride] into
+out[cells], and `_scatter` is its exact transpose. The projector's groups
+map the image to detector cells; the backprojector's one group maps a
+detector row to every pixel. A kept projector table derives its transpose
+(`_transposed`) once, in the backprojector's layout, so the projector's
+transpose gathers too; an unkept one scatters.
 
 Kept tables live in one process-wide store (`_STORE`), keyed by what they
 are (builder or derivation), geometry fingerprint and representative view,
@@ -54,15 +55,15 @@ from .geometry import (
 # Byte budget of the process-wide `_STORE`, and the admission limit of one
 # `_OrbitCore`: its tables are kept across calls only when 1.1 times its
 # orbit representatives times the bytes of the first one's table fit (for
-# the projector, its row form plus the pixel form its transpose derives),
-# since large geometries would otherwise pin gigabytes. The tables of other
+# the projector, its table plus the transpose it derives), since large
+# geometries would otherwise pin gigabytes. The tables of other
 # representatives differ in size: over all of them, the bytes kept divided
 # by that product are 0.94-1.01 on the tested square scans and 0.80 on a
-# fan wider than a quarter turn. The backprojector's pixel form is 24 bytes
+# fan wider than a quarter turn. The backprojector's table is 24 bytes
 # per pixel in every view. Without admission, each call rebuilds one table
 # per orbit, which costs about ten times the gather that uses it. At
 # 128x128 with 256 fan views the full view set has 33 representatives:
-# 29 MiB of projector tables with their pixel forms and 12.4 MiB of
+# 29 MiB of projector tables with their transposes and 12.4 MiB of
 # backprojector tables, which every subset shares.
 _CACHE_LIMIT_BYTES = 64 * 2**20
 
@@ -130,63 +131,47 @@ def _first_tap(i0, i1, w1, stride: int):
     return np.where((i0 == i1) & (w1 != 0), i0 - stride, i0)
 
 
-def _two_tap_pixel_form(i0, i1, w0, w1) -> tuple:
-    """Pixel form (see `_OrbitCore`) of clipped taps i0 and i1 = i0 + 1 into a row."""
-    return _first_tap(i0, i1, w1, 1) + 1, w0, w1
-
-
 def _image_pad(grid) -> int:
-    """Zeros at each end of the flat image that row-form tables index: one row."""
+    """Zeros at each end of the flat image that the projector's tables index: one row."""
     return grid[1]
 
 
-def _gather_rows(src, groups, row) -> None:
-    """Row-form gather: fills the cells of `row` from the padded flat image."""
-    for cells, idx, stride, w0, w1 in groups:
+def _gather(src, table, out) -> None:
+    """Adds the sum of w_k * src[idx + k*stride] over k, and over the steps
+    of a 2-D idx, into out[cells], for each group (cells, idx, stride, w_0,
+    ..., w_K-1) of `table`."""
+    for group in table:
+        cells, idx, stride, w0 = group[:4]
         vals = src.take(idx)
         vals *= w0
-        tap = src[stride:].take(idx)
-        tap *= w1
-        vals += tap
-        row[cells] = vals.sum(axis=0)
+        shift = 0
+        for w in group[4:]:
+            shift += stride
+            tap = src[shift:].take(idx)
+            tap *= w
+            vals += tap
+        out[cells] += vals if vals.ndim == 1 else vals.sum(axis=0)
 
 
-def _scatter_rows(row, groups, acc) -> None:
-    """Transpose of `_gather_rows`: adds the scatter of `row` into the padded `acc`."""
-    for cells, idx, stride, w0, w1 in groups:
-        vals, flat = row[cells], idx.ravel()
-        acc += np.bincount(flat, (w0 * vals).ravel(), minlength=acc.size)
-        acc[stride:] += np.bincount(flat, (w1 * vals).ravel(), minlength=acc.size - stride)
+def _scatter(vals, table, acc) -> None:
+    """Transpose of `_gather`: adds w_k * vals[cells] into acc[idx + k*stride]."""
+    for group in table:
+        cells, idx, stride = group[:3]
+        v, flat = vals[cells], idx.ravel()
+        for k, w in enumerate(group[3:]):
+            dst = acc[k * stride:]
+            dst += np.bincount(flat, (w * v).ravel(), minlength=dst.size)
 
 
-def _gather_pixels(row, table):
-    """Pixel-form gather: the sum over k of w_k * row[j0 + k], from the padded
-    row, for table = (j0, w_0, w_1, ...)."""
-    j0 = table[0]
-    vals = row.take(j0)
-    vals *= table[1]
-    for k in range(1, len(table) - 1):
-        tap = row[k:].take(j0)
-        tap *= table[k + 1]
-        vals += tap
-    return vals
+def _transposed(groups, n_pixels: int, n_cells: int, pad: int) -> list:
+    """The table of the transpose of the projector's table `groups`.
 
-
-def _scatter_pixels(vals, table, row) -> None:
-    """Transpose of `_gather_pixels`: adds the scatter of `vals` into the padded `row`."""
-    j0 = table[0]
-    acc = np.bincount(j0, table[1] * vals, minlength=row.size)
-    for k in range(1, len(table) - 1):
-        acc[k:] += np.bincount(j0, table[k + 1] * vals, minlength=row.size - k)
-    row += acc
-
-
-def _transposed(groups, n_pixels: int, n_cells: int, pad: int) -> tuple:
-    """Pixel form (j0, w_0, ..., w_K-1) of the transpose of row-form `groups`.
-
-    K is the widest span of cells that meet one pixel. A ray meets a pixel
-    at most once, at the step of the pixel's plane and through one of its
-    two taps, so each nonzero weight is one entry of some w_k.
+    It is one group over all pixels (cells `...`), with stride 1 and
+    (n_pixels,) arrays into the detector row padded by one zero at each
+    end: pixel p reads w_k[p] * row[idx[p] + k] over k < K. K is the
+    widest span of cells that meet one pixel. A ray meets a pixel at most
+    once, at the step of the pixel's plane and through one of its two
+    taps, so each nonzero weight is one entry of some w_k.
     """
     parts = []
     for cells, idx, stride, w0, w1 in groups:
@@ -204,7 +189,7 @@ def _transposed(groups, n_pixels: int, n_cells: int, pad: int) -> tuple:
     w = np.zeros((span, n_pixels))
     for pix, cell, wt in parts:
         w[cell - j0[pix], pix] = wt
-    return (j0 + 1, *w)
+    return [(..., j0 + 1, 1, *w)]
 
 
 _KEEP, _REVERSE = slice(None), slice(None, None, -1)
@@ -241,50 +226,50 @@ def _flat(img, pad: int) -> np.ndarray:
 
 
 class _OrbitCore:
-    """Orbit loops and table lookup of a two-tap operator over a view subset.
+    """Orbit loops and table lookup of a tap-table operator over a view subset.
 
-    `build(geom, view)` returns the table of full-view index `view` in the
-    form `pixel_form` names:
+    `build(geom, view)` returns the table of full-view index `view`: a list
+    of groups (cells, idx, stride, w_0, ..., w_K-1) that `_gather` reads
+    and `_scatter` writes. The projector's table (`_ray_tables`) maps the
+    flat image, with `_image_pad` zeros at each end, to the cells of a
+    detector row, summing over the steps of (n_steps, n_cells) arrays; with
+    `to_image` the table maps the detector row, with one zero at each end,
+    to the pixels of the flat image in one group of (n_pixels,) arrays
+    whose cells are `...`.
 
-    - row form: a list of (cells, idx, stride, w0, w1) groups. The cells
-      `cells` selects read w0*src[idx] + w1*src[idx + stride], summed over
-      the steps of the (n_steps, n_cells) tables, from the flat image with
-      `_image_pad` zeros at each end.
-    - pixel form: a tuple (j0, w_0, ..., w_K-1) of (n_pixels,) arrays.
-      Pixel p reads w_k[p] * row[j0[p] + k] over k < K, from the detector
-      row with one zero at each end.
-
-    `image_to_rows` and `rows_to_image` gather through a table whose
-    entries they compute and scatter through the other. A mirrored view
-    (code >= 4) reads and writes its row reversed.
+    `image_to_rows` and `rows_to_image` each run one orbit loop. The loop
+    gathers where the table maps its input to its output and scatters
+    where it maps the other way, except that `rows_to_image` of an admitted
+    projector core gathers through the `_transposed` tables. A mirrored
+    view (code >= 4) reads and writes its row reversed.
 
     The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
     at construction from the measured bytes of its first representative's
-    table. A row-form core counts the pixel form of that table too, derived
-    and dropped. The store keeps that measure per geometry, so an equal
+    table, and for the projector of that table's transpose too, derived and
+    dropped. The store keeps that measure per geometry, so an equal
     operator builds nothing to judge, and keeps the table itself only for
     an admitted core. An admitted core keeps its tables in `_STORE`, where
-    a row-form core also keeps their pixel forms the first time
+    a projector core also keeps their transposes the first time
     `rows_to_image` runs. Any other core rebuilds its tables per call, and
-    a row-form one scatters through them in `rows_to_image`: deriving the
-    pixel forms on each call takes about twice as long as that scatter at
-    256x256 with 45 parallel views, and as long at 512x512 with 64 fan
+    a projector core scatters through them in `rows_to_image`: deriving
+    the transposes on each call takes about twice as long as that scatter
+    at 256x256 with 45 parallel views, and as long at 512x512 with 64 fan
     views.
     """
 
-    def __init__(self, geom, subset, build, pixel_form: bool):
+    def __init__(self, geom, subset, build, to_image: bool):
         self.geom = geom
         self.subset = _view_subset(geom, subset)
         self.orbits = view_orbits(geom, self.subset.indices)
         self.rows_shape = (self.subset.q1, geom.n_det)
         self._build = build
-        self._pixel_form = pixel_form
+        self._to_image = to_image
         self._fingerprint = geom.fingerprint
         rep = self.orbits[0][0]
 
         def measure() -> int:
             first = build(geom, rep)
-            size = _nbytes(first) + (0 if pixel_form else _nbytes(self._derive_pixel_form(first)))
+            size = _nbytes(first) + (0 if to_image else _nbytes(self._derive_transpose(first)))
             if self._admits(size):
                 _STORE.put((build, self._fingerprint, rep), first)
             return size
@@ -300,41 +285,44 @@ class _OrbitCore:
             return build(geom, view)
         return _STORE.get((build, self._fingerprint, view), lambda: build(geom, view))
 
-    def _derive_pixel_form(self, table) -> tuple:
+    def _derive_transpose(self, table) -> list:
         grid = self.geom.grid
         return _transposed(table, grid[0] * grid[1], self.geom.n_det, _image_pad(grid))
 
-    def pixel_tables(self, view: int):
-        """The pixel form of `view`'s table, derived once from a row form."""
-        if self._pixel_form:
+    def to_image_tables(self, view: int):
+        """The table that maps `view`'s row to the image, derived once for the projector."""
+        if self._to_image:
             return self.tables(view)
         return _STORE.get(((self._build, _transposed), self._fingerprint, view),
-                          lambda: self._derive_pixel_form(self.tables(view)))
+                          lambda: self._derive_transpose(self.tables(view)))
 
     def image_to_rows(self, x) -> np.ndarray:
         x = _checked(x, self.geom.grid, "image")
-        scatter = self._pixel_form
+        scatter = self._to_image
+        kernel = _scatter if scatter else _gather
         pad = 0 if scatter else _image_pad(self.geom.grid)
         q1, n = self.rows_shape
-        out = np.zeros((q1, n + 2) if scatter else (q1, n))
+        # Mirrored views fill their own rows unreversed, flipped once at the
+        # end: adding into reversed row views is slower. A scattered row has
+        # one zero of padding at each end.
+        out = np.zeros((2, q1, n + 2 * scatter))
+        plain, mirrored = out
         srcs = {}
         for rep, positions, codes in self.orbits:
             table = self.tables(rep)
             for vi, code in zip(positions, codes):
                 if code not in srcs:
                     srcs[code] = _flat(_turned(x, code), pad)
-                row = out[vi, ::-1] if code >= 4 else out[vi]
-                if scatter:
-                    _scatter_pixels(srcs[code], table, row)
-                else:
-                    _gather_rows(srcs[code], table, row)
-        return out[:, 1:-1].copy() if scatter else out
+                kernel(srcs[code], table, (mirrored if code >= 4 else plain)[vi])
+        row = slice(int(scatter), int(scatter) + n)
+        return plain[:, row] + mirrored[:, ::-1][:, row]
 
     def rows_to_image(self, y) -> np.ndarray:
         y = _checked(y, self.rows_shape, "sinogram")
         grid = self.geom.grid
         m = grid[0] * grid[1]
-        gather = self._pixel_form or self.admitted
+        gather = self._to_image or self.admitted
+        kernel = _gather if gather else _scatter
         if gather:
             rows, pad = np.zeros((y.shape[0], y.shape[1] + 2)), 0
             rows[:, 1:-1] = y
@@ -343,16 +331,11 @@ class _OrbitCore:
         flipped = rows[:, ::-1].copy()  # contiguous rows of the mirrored views
         accs: dict[int, np.ndarray] = {}
         for rep, positions, codes in self.orbits:
-            table = self.pixel_tables(rep) if gather else self.tables(rep)
+            table = self.to_image_tables(rep) if gather else self.tables(rep)
             for vi, code in zip(positions, codes):
                 if code not in accs:
                     accs[code] = np.zeros(m + 2 * pad)
-                acc = accs[code]
-                row = flipped[vi] if code >= 4 else rows[vi]
-                if gather:
-                    acc += _gather_pixels(row, table)
-                else:
-                    _scatter_rows(row, table, acc)
+                kernel(flipped[vi] if code >= 4 else rows[vi], table, accs[code])
         images = {code: acc[pad:pad + m].reshape(grid) for code, acc in accs.items()}
         out = images.pop(0, None)
         if out is None:

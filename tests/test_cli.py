@@ -348,6 +348,20 @@ def test_negative_counts_exit_2_and_write_nothing(tmp_path, geom_file, capsys, c
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("count", [["--steps", "0"], ["--epochs", "0"]], ids=["steps", "epochs"])
+def test_train_of_zero_steps_exits_2_and_writes_nothing(tmp_path, geom_file, capsys, count):
+    man, _, _ = _write_train_setup(tmp_path, geom_file)
+    ck, log = tmp_path / "model.ckpt", tmp_path / "train.tsv"
+    capsys.readouterr()
+    rc = main(["train", "--geometry", geom_file, "--manifest", man, "--views", "6", *count,
+               "--width", "2", "--depth", "1", "--stages", "1", "--variant", "a",
+               "--checkpoint", str(ck), "--log", str(log)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "at least one step" in captured.err
+    assert captured.out == "" and not ck.exists() and not log.exists()
+
+
 def test_ablate_checks_every_letter_before_training(tmp_path, monkeypatch, capsys):
     def train_toy(*args, **kwargs):
         raise AssertionError("a variant started training")

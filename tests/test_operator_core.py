@@ -1,6 +1,7 @@
-"""Properties every operator on the projector's two-tap core shares: one
-subset check, no reference cycles, the cache admission rule, and one
-process-wide table store."""
+"""Properties every operator on the projector's tap-table core shares: one
+subset check, no reference cycles, the cache admission rule, outputs that do
+not depend on it, one process-wide table store, and a gather whose transpose
+is the scatter."""
 
 import gc
 import sys
@@ -18,12 +19,18 @@ from sparsect.projector import (
     _CACHE_LIMIT_BYTES,
     _STORE,
     JosephProjector,
+    _gather,
+    _image_pad,
+    _ray_tables,
+    _scatter,
     _Store,
+    _transposed,
     _turned,
     _unturned,
 )
 
 from conftest import fista_tv_geometry, recon_mid_geometry
+from test_gather_tables import representatives, wide_fan
 
 OPERATORS = [JosephProjector, PixelBackprojector, FbpOperator, ViewUpsampler]
 
@@ -116,6 +123,63 @@ class TestCacheAdmission:
         sub = None if q is None else sparse_subset(geom, q)
         assert (JosephProjector(geom, sub)._core.admitted,
                 PixelBackprojector(geom, sub)._core.admitted) == admitted
+
+
+@pytest.mark.parametrize("make, q", [
+    (toy_geometry, 15), (toy_geometry, None), (recon_mid_geometry, 32), (fista_tv_geometry, 45),
+], ids=["toy-q15", "toy-full", "recon-mid-q32", "fista-tv-q45"])
+def test_admission_changes_no_output_but_the_projector_transpose(make, q, monkeypatch):
+    """Kept and rebuilt tables give byte-identical outputs; only the
+    projector's transpose sums in another order where it scatters."""
+    geom = make()
+    sub = None if q is None else sparse_subset(geom, q)
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal(geom.grid)
+    y = rng.standard_normal((JosephProjector(geom, sub).subset.q1, geom.n_det))
+
+    def outputs(admitted):
+        _STORE.clear()
+        proj, bp = JosephProjector(geom, sub), PixelBackprojector(geom, sub)
+        op = FbpOperator(geom, sub)
+        assert proj._core.admitted == bp._core.admitted == admitted
+        return ([proj.apply(x), bp.apply(y), bp.applyT(x), op.apply(y), op.applyT(x)],
+                proj.applyT(y))
+
+    kept, kept_t = outputs(True)
+    monkeypatch.setattr(projector_module, "_CACHE_LIMIT_BYTES", 0)
+    rebuilt, rebuilt_t = outputs(False)
+    assert [a.tobytes() for a in kept] == [b.tobytes() for b in rebuilt]
+    assert np.abs(kept_t - rebuilt_t).max() <= 1e-12 * np.abs(rebuilt_t).max()
+
+
+def tap_table(kind):
+    """(table, source size, output size) of one table of each kind the core runs."""
+    geom = {"joseph-slice-cells": toy_geometry, "wide-fan-index-cells": wide_fan}.get(
+        kind, recon_mid_geometry)()
+    m, pad = geom.grid[0] * geom.grid[1], _image_pad(geom.grid)
+    if kind == "backprojector":
+        return fbp_module._pixel_table(geom, 5), geom.n_det + 2, m
+    if kind == "transpose-k3":
+        table = next(t for t in (_transposed(_ray_tables(geom, v), m, geom.n_det, pad)
+                                 for v in representatives(geom)) if len(t[0]) - 3 == 3)
+        return table, geom.n_det + 2, m
+    slice_cells = kind == "joseph-slice-cells"
+    table = next(t for t in (_ray_tables(geom, v) for v in representatives(geom))
+                 if all(isinstance(group[0], slice) for group in t) == slice_cells)
+    return table, m + 2 * pad, geom.n_det
+
+
+@pytest.mark.parametrize("kind", ["joseph-slice-cells", "wide-fan-index-cells", "backprojector",
+                                  "transpose-k3"])
+def test_scatter_is_the_transpose_of_gather(kind):
+    table, n_src, n_out = tap_table(kind)
+    rng = np.random.default_rng(25)
+    s, v = rng.standard_normal(n_src), rng.standard_normal(n_out)
+    gathered, scattered = np.zeros(n_out), np.zeros(n_src)
+    _gather(s, table, gathered)
+    _scatter(v, table, scattered)
+    lhs, rhs = float(gathered @ v), float(s @ scattered)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 class TestTableStore:
