@@ -12,7 +12,9 @@ into the zero-padded detector row, and two weights.
 `projector._OrbitCore` builds them once per orbit of views under the
 symmetries of the square, keeps them in the process-wide table store when
 they are admitted, and runs the orbit loops over turned or transposed
-copies of the image: `apply` gathers through the table, `applyT` scatters.
+copies of the image: `apply` gathers through the table, split between two
+threads on grids of at least `projector._SPLIT_PIXELS` pixels, and `applyT`
+scatters, in the caller alone.
 The upsampler interpolates whole detector rows: each full view reads two
 consecutive rows of the subset's sinogram, extended by one wrap-around row
 at each end, with one weight per row.
@@ -118,9 +120,9 @@ class PixelBackprojector:
     """Interpolating backprojection over the subset's views.
 
     Fan beam folds the inverse-squared magnification weight into each
-    pixel's contribution. apply gathers from detector rows; applyT
-    scatters back with identical weights, so the pair is an exact
-    transpose.
+    pixel's contribution. apply gathers from detector rows, on two
+    threads where the core splits it; applyT scatters back with identical
+    weights, on one, so the pair is an exact transpose.
     """
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset | None = None):

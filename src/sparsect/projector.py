@@ -32,12 +32,21 @@ are (builder or derivation), geometry fingerprint and representative view,
 so every operator over an equal geometry reads the same tables, whoever
 built them first. The store also keeps the measured bytes of each
 geometry's first table, which decide admission.
+
+Each orbit loop runs a work list that `_OrbitCore` cuts into two parts at
+construction: the orbits for image -> rows, the turn codes for rows ->
+image. A loop that gathers, on a grid of at least `_SPLIT_PIXELS` pixels,
+runs its second part on the one worker of a module-level thread pool while
+the caller runs the first; every other call runs both in the caller. The
+outputs are byte-identical either way.
 """
 
 from __future__ import annotations
 
+import os
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from functools import partial
 
 import numpy as np
 
@@ -67,6 +76,16 @@ from .geometry import (
 # backprojector tables, which every subset shares.
 _CACHE_LIMIT_BYTES = 64 * 2**20
 
+# Threads an orbit loop may use: the caller and, where there are two
+# cores, the one worker of `_POOL`, created on the first split call.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# Pixels of the grid from which an orbit loop that gathers splits between
+# two threads (`_OrbitCore`).
+_SPLIT_PIXELS = 112 * 112
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
 
 def _nbytes(value) -> int:
     """Bytes of a value as arrays, through nested lists and tuples."""
@@ -81,8 +100,11 @@ class _Store:
     A key names what its value is (the module-level table builder, or a
     tag) and the geometry fingerprint it was computed on, so the store holds
     no operator. A value larger than the whole budget is returned unkept.
-    The bookkeeping holds a lock, since operators in several threads share
-    the store; two threads that miss one key may both build it.
+    The bookkeeping holds a lock, since operators in several threads, and
+    the orbit loops' pool worker, share the store; two threads that miss
+    one key may both build it. One split call never does: its parts look up
+    disjoint orbits (image -> rows), or the caller looks up every table
+    before the parts start (rows -> image).
     """
 
     def __init__(self, limit: int):
@@ -225,6 +247,70 @@ def _flat(img, pad: int) -> np.ndarray:
     return out
 
 
+def _stored_table(build, geom, fingerprint: str, view: int):
+    """`build(geom, view)`, kept in `_STORE` under its builder, geometry and view."""
+    return _STORE.get((build, fingerprint, view), lambda: build(geom, view))
+
+
+def _run_part(kernel, tables, part, src, dst) -> None:
+    """One part of an orbit loop: for each (rep, members) entry of `part`,
+    `kernel(src[s], tables(rep), dst[d])` for each member (s, d)."""
+    for rep, members in part:
+        table = tables(rep)
+        for s, d in members:
+            kernel(src[s], table, dst[d])
+
+
+def _pool():
+    """The orbit loops' thread pool, created on the first split call."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # Imported here: it loads `logging`, about 1 MiB of resident
+            # memory that a process whose calls never split need not pay.
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="orbit-loop")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's worker thread does not exist there."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _orbit_loop(kernel, tables, work, src, dst, split: bool) -> None:
+    """Run the work list `work` = (whole, (part_0, part_1)) of one orbit loop.
+
+    A split call hands part 1 to the pool's worker and runs part 0 here;
+    any other call runs `whole`, both parts merged in orbit order, here.
+    """
+    whole, (first, second) = work
+    if not split:
+        _run_part(kernel, tables, whole, src, dst)
+        return
+    future = _pool().submit(_run_part, kernel, tables, second, src, dst)
+    try:
+        _run_part(kernel, tables, first, src, dst)
+    finally:
+        future.result()
+
+
+def _split_codes(orbits) -> tuple[set, set]:
+    """Turn codes cut into two sets of about equal member count, largest first."""
+    count = Counter(c for _, _, codes in orbits for c in codes)
+    sets, load = (set(), set()), [0, 0]
+    for code in sorted(count, key=lambda c: (-count[c], c)):
+        j = int(load[1] < load[0])
+        sets[j].add(code)
+        load[j] += count[code]
+    return sets
+
+
 class _OrbitCore:
     """Orbit loops and table lookup of a tap-table operator over a view subset.
 
@@ -242,6 +328,46 @@ class _OrbitCore:
     where it maps the other way, except that `rows_to_image` of an admitted
     projector core gathers through the `_transposed` tables. A mirrored
     view (code >= 4) reads and writes its row reversed.
+
+    Each loop runs a work list built here, once per core: a list of (rep,
+    members) entries in orbit order, and the same work cut into two parts.
+    `image_to_rows` cuts the orbits into two runs of about equal member
+    count, so each view's row is written by one part. `rows_to_image` cuts
+    the turn codes into two sets of about equal member count; each part
+    adds into its own codes' accumulators only, in orbit order, and the
+    accumulators are summed in the order in which each code first appears.
+    So a split call and a serial one give byte-identical outputs. A serial
+    call runs both parts merged in orbit order, so an unadmitted core
+    builds each table once.
+
+    A call splits, its part 1 run by the one worker of `_POOL` while the
+    caller runs part 0, when its loop gathers (the projector's `apply`, an
+    admitted projector's `applyT` and the backprojector's `apply`), the
+    process may use two cores (`_WORKERS`), both parts have members, and
+    the grid has at least `_SPLIT_PIXELS` pixels. The measure is the work
+    of one member, not of the call: each member's gather is a few NumPy
+    calls that release the interpreter lock, between Python steps that
+    hold it, and on a small grid the two threads mostly wait for the lock.
+    Split over serial time per call, parallel scans with 180 views, q=12
+    to the full view set (2-vCPU x86, NumPy 2.4): 0.91-1.22 at 80x80,
+    0.79-1.06 at 96x96, 0.72-0.91 at 112x112 and 0.63-0.82 at 128x128;
+    1.16-1.25 at 64x64 with all views, though its lighter part holds as
+    many member-pixels as 128x128 at q=45 (0.66). The toy scan, 32x32,
+    never splits. Scatter loops stay serial: `np.bincount` holds the lock
+    for most of its time, and a split backprojector `applyT` ran at
+    0.93-1.07x the serial time at 128x128. A split `rows_to_image` of an
+    admitted core looks up every table in the caller before the parts
+    start, so each is built once, in orbit order. An unadmitted core builds
+    its tables inside the part that uses them, so in `rows_to_image` both
+    parts build each orbit's table; the full-view backprojector at 256x256
+    (fan-1024 scaled) still ran at 0.74x the serial time.
+
+    A pool task never submits to the pool, so concurrent callers cannot
+    deadlock. It holds no reference to the core (`tables` is a partial of
+    module-level functions), so a dropped operator is freed at once, as an
+    operator that its core referenced back would not be. It calls no
+    public function: the benchmark's tracer wraps those, and its span
+    stack is not thread-safe.
 
     The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
     at construction from the measured bytes of its first representative's
@@ -275,45 +401,55 @@ class _OrbitCore:
             return size
 
         self.admitted = self._admits(_STORE.get(((build, _nbytes), self._fingerprint, rep), measure))
+        self.tables = (partial(_stored_table, build, geom, self._fingerprint) if self.admitted
+                       else partial(build, geom))
+
+        # image -> rows: member (code, (mirrored, position)) reads its code's
+        # source and fills its own row.
+        rows_work = [(rep, [(c, (int(c >= 4), vi)) for vi, c in zip(positions, codes)])
+                     for rep, positions, codes in self.orbits]
+        ends = np.cumsum([len(members) for _, members in rows_work])
+        cut = int(np.argmin(np.abs(2 * ends - ends[-1]))) + 1
+        self._rows_work = rows_work, (rows_work[:cut], rows_work[cut:])
+        # rows -> image: member ((mirrored, position), code) reads its row
+        # and adds into its code's accumulator.
+        image_work = [(rep, [((int(c >= 4), vi), c) for vi, c in zip(positions, codes)])
+                      for rep, positions, codes in self.orbits]
+        parts = tuple([(rep, kept) for rep, members in image_work
+                       if (kept := [m for m in members if m[1] in codes])]
+                      for codes in _split_codes(self.orbits))
+        self._image_work = image_work, parts
+        self._codes = list(dict.fromkeys(c for _, _, codes in self.orbits for c in codes))
+
+        big = _WORKERS > 1 and geom.grid[0] * geom.grid[1] >= _SPLIT_PIXELS
+        self._split_rows = big and not to_image and all(self._rows_work[1])
+        self._split_image = big and (to_image or self.admitted) and all(parts)
 
     def _admits(self, size: int) -> bool:
         return 1.1 * len(self.orbits) * size <= _CACHE_LIMIT_BYTES
-
-    def tables(self, view: int):
-        build, geom = self._build, self.geom
-        if not self.admitted:
-            return build(geom, view)
-        return _STORE.get((build, self._fingerprint, view), lambda: build(geom, view))
 
     def _derive_transpose(self, table) -> list:
         grid = self.geom.grid
         return _transposed(table, grid[0] * grid[1], self.geom.n_det, _image_pad(grid))
 
-    def to_image_tables(self, view: int):
-        """The table that maps `view`'s row to the image, derived once for the projector."""
-        if self._to_image:
-            return self.tables(view)
+    def transposed_tables(self, view: int):
+        """The projector's table of `view` transposed (`_transposed`), derived once."""
         return _STORE.get(((self._build, _transposed), self._fingerprint, view),
                           lambda: self._derive_transpose(self.tables(view)))
 
     def image_to_rows(self, x) -> np.ndarray:
         x = _checked(x, self.geom.grid, "image")
         scatter = self._to_image
-        kernel = _scatter if scatter else _gather
         pad = 0 if scatter else _image_pad(self.geom.grid)
         q1, n = self.rows_shape
         # Mirrored views fill their own rows unreversed, flipped once at the
         # end: adding into reversed row views is slower. A scattered row has
         # one zero of padding at each end.
         out = np.zeros((2, q1, n + 2 * scatter))
+        srcs = {code: _flat(_turned(x, code), pad) for code in self._codes}
+        _orbit_loop(_scatter if scatter else _gather, self.tables, self._rows_work, srcs, out,
+                    self._split_rows)
         plain, mirrored = out
-        srcs = {}
-        for rep, positions, codes in self.orbits:
-            table = self.tables(rep)
-            for vi, code in zip(positions, codes):
-                if code not in srcs:
-                    srcs[code] = _flat(_turned(x, code), pad)
-                kernel(srcs[code], table, (mirrored if code >= 4 else plain)[vi])
         row = slice(int(scatter), int(scatter) + n)
         return plain[:, row] + mirrored[:, ::-1][:, row]
 
@@ -322,20 +458,17 @@ class _OrbitCore:
         grid = self.geom.grid
         m = grid[0] * grid[1]
         gather = self._to_image or self.admitted
-        kernel = _gather if gather else _scatter
-        if gather:
-            rows, pad = np.zeros((y.shape[0], y.shape[1] + 2)), 0
-            rows[:, 1:-1] = y
-        else:
-            rows, pad = y, _image_pad(grid)
-        flipped = rows[:, ::-1].copy()  # contiguous rows of the mirrored views
-        accs: dict[int, np.ndarray] = {}
-        for rep, positions, codes in self.orbits:
-            table = self.to_image_tables(rep) if gather else self.tables(rep)
-            for vi, code in zip(positions, codes):
-                if code not in accs:
-                    accs[code] = np.zeros(m + 2 * pad)
-                kernel(flipped[vi] if code >= 4 else rows[vi], table, accs[code])
+        pad = 0 if gather else _image_pad(grid)
+        # The rows, then the mirrored views' rows reversed, each contiguous.
+        rows = np.zeros((2, y.shape[0], y.shape[1] + 2 * gather))
+        rows[0, :, int(gather):int(gather) + y.shape[1]] = y
+        rows[1] = rows[0, :, ::-1]
+        tables = self.tables if self._to_image or not gather else self.transposed_tables
+        if self._split_image and self.admitted:
+            tables = {rep: tables(rep) for rep, _ in self._image_work[0]}.__getitem__
+        accs = {code: np.zeros(m + 2 * pad) for code in self._codes}
+        _orbit_loop(_gather if gather else _scatter, tables, self._image_work, rows, accs,
+                    self._split_image)
         images = {code: acc[pad:pad + m].reshape(grid) for code, acc in accs.items()}
         out = images.pop(0, None)
         if out is None:

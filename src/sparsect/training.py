@@ -148,7 +148,8 @@ def train_loop(
 
     `resume_from` restores weights, optimizer moments, and the RNG stream
     from a checkpoint written by this loop and continues at the step after
-    the one it was saved on; the log is rewound to that step.
+    the one it was saved on; the log is rewound to that step. A checkpoint
+    that already ran `cfg.steps` steps or more raises ValueError.
     """
     if not images:
         raise ValueError("need at least one training image")
@@ -165,6 +166,11 @@ def train_loop(
         restore_model(model, ckpt)
         restore_optimizer(optimizer, ckpt)
         restore_rng(rng, ckpt)
+        if optimizer.t >= cfg.steps:
+            raise ValueError(
+                f"checkpoint {resume_from} already ran {optimizer.t} steps of {cfg.steps}; "
+                "nothing is left to train"
+            )
 
     def draw():
         x_true, q = _draw_sample(rng, images, cfg)

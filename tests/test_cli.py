@@ -362,6 +362,22 @@ def test_train_of_zero_steps_exits_2_and_writes_nothing(tmp_path, geom_file, cap
     assert captured.out == "" and not ck.exists() and not log.exists()
 
 
+def test_train_resumed_with_no_steps_left_exits_2_and_writes_nothing(tmp_path, geom_file, capsys):
+    man, _, _ = _write_train_setup(tmp_path, geom_file)
+    first, log = tmp_path / "a.ckpt", tmp_path / "train.tsv"
+    args = ["train", "--geometry", geom_file, "--manifest", man, "--views", "6", "--steps", "2",
+            "--width", "2", "--depth", "1", "--stages", "1", "--variant", "a"]
+    assert main([*args, "--checkpoint", str(first), "--log", str(log)]) == 0
+    logged = log.read_bytes()
+    capsys.readouterr()
+    second = tmp_path / "b.ckpt"
+    rc = main([*args, "--resume-from", str(first), "--checkpoint", str(second), "--log", str(log)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "ran 2 steps of 2" in captured.err
+    assert captured.out == "" and not second.exists() and log.read_bytes() == logged
+
+
 def test_ablate_checks_every_letter_before_training(tmp_path, monkeypatch, capsys):
     def train_toy(*args, **kwargs):
         raise AssertionError("a variant started training")

@@ -1,18 +1,23 @@
 """Properties every operator on the projector's tap-table core shares: one
 subset check, no reference cycles, the cache admission rule, outputs that do
-not depend on it, one process-wide table store, and a gather whose transpose
-is the scatter."""
+not depend on it, one process-wide table store, a gather whose transpose
+is the scatter, and orbit loops whose split into two threads changes no
+output byte."""
 
 import gc
+import os
+import signal
 import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
 from sparsect import fbp as fbp_module
 from sparsect import projector as projector_module
-from sparsect.experiments import toy_geometry
+from sparsect.experiments import ToySpec, toy_geometry, toy_model, toy_phantoms
 from sparsect.fbp import FbpOperator, PixelBackprojector, ViewUpsampler
 from sparsect.geometry import ViewSubset, geometry_preset, make_geometry, sparse_subset
 from sparsect.projector import (
@@ -28,6 +33,7 @@ from sparsect.projector import (
     _turned,
     _unturned,
 )
+from sparsect.training import TrainConfig, train_loop
 
 from conftest import fista_tv_geometry, recon_mid_geometry
 from test_gather_tables import representatives, wide_fan
@@ -300,3 +306,179 @@ class TestTurns:
         assert np.array_equal(unturned, np.rot90(z.T if code >= 4 else z, -(code % 4)))
         assert np.shares_memory(unturned, z)
         assert np.array_equal(_unturned(turned, code), x)
+
+
+def nonsquare_fan():
+    """A fan scan on a 40x33 grid: every view is its own orbit, with code 0."""
+    return make_geometry("fan", n_views=40, n_det=81, det_spacing=1.5, grid=(40, 33),
+                         pixel_size=1.0, src_dist=80.0, det_dist=60.0)
+
+
+def split_flags(op):
+    """(image -> rows splits, rows -> image splits) of op's core."""
+    core = op._bp._core if isinstance(op, FbpOperator) else op._core
+    return core._split_rows, core._split_image
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Split calls run on a pool worker whatever the runner's core count."""
+    monkeypatch.setattr(projector_module, "_WORKERS", 2)
+
+
+SPLIT_CASES = {
+    "toy-q15": (toy_geometry, 15),
+    "recon-mid-q32": (recon_mid_geometry, 32),
+    "recon-mid-full": (recon_mid_geometry, None),
+    "fista-tv-q45": (fista_tv_geometry, 45),
+    "nonsquare-fan-q10": (nonsquare_fan, 10),
+}
+
+
+@pytest.mark.parametrize("limit", ["default", 0])
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_and_serial_loops_give_identical_bytes(case, limit, two_workers, monkeypatch):
+    """Every operator's apply and applyT, with the split constant at 0 (split
+    wherever the loop gathers and both parts have members) and above every
+    grid (never split), on inputs with negative values."""
+    if limit == 0:
+        monkeypatch.setattr(projector_module, "_CACHE_LIMIT_BYTES", 0)
+    make, q = SPLIT_CASES[case]
+    geom = make()
+    sub = None if q is None else sparse_subset(geom, q)
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal(geom.grid)
+    y = rng.standard_normal((JosephProjector(geom, sub).subset.q1, geom.n_det))
+
+    def outputs(split_pixels):
+        monkeypatch.setattr(projector_module, "_SPLIT_PIXELS", split_pixels)
+        _STORE.clear()
+        ops = [JosephProjector(geom, sub), PixelBackprojector(geom, sub), FbpOperator(geom, sub)]
+        flags = [split_flags(op) for op in ops]
+        got = []
+        for op in ops:
+            image_in = isinstance(op, JosephProjector)
+            got += [op.apply(x if image_in else y), op.applyT(y if image_in else x)]
+        return [a.tobytes() for a in got], flags
+
+    split, split_flags_on = outputs(0)
+    serial, serial_flags = outputs(10**12)
+    assert split == serial
+    assert not any(any(f) for f in serial_flags)
+    proj, bp, _ = split_flags_on
+    assert proj[0]  # the projector's apply splits its orbits
+    assert bp[0] is False  # the backprojector's applyT scatters, serially
+    # rows -> image splits the turn codes: one code gives one empty part
+    assert bp[1] == (geom.grid[0] == geom.grid[1])
+
+
+@pytest.mark.parametrize("limit", ["default", 0])
+@pytest.mark.parametrize("cls", [JosephProjector, PixelBackprojector, FbpOperator],
+                         ids=lambda c: c.__name__)
+def test_dropped_operator_after_split_calls_is_freed_at_once(cls, limit, two_workers,
+                                                             monkeypatch):
+    """No pool task keeps the operator or its core alive, and no cycle forms,
+    so both go as soon as the last reference does, with kept tables or
+    rebuilt ones."""
+    if limit == 0:
+        monkeypatch.setattr(projector_module, "_CACHE_LIMIT_BYTES", 0)
+    geom = fista_tv_geometry()
+    sub = sparse_subset(geom, 45)
+    refs = []
+
+    def build_apply_drop():
+        op = cls(geom, sub)
+        core = op._bp._core if cls is FbpOperator else op._core
+        assert any(split_flags(op))
+        refs.extend([weakref.ref(op), weakref.ref(core)])
+        rng = np.random.default_rng(27)
+        op.apply(rng.standard_normal(op.in_shape))
+        op.applyT(rng.standard_normal(op.out_shape))
+        del op, core
+        assert [ref() for ref in refs] == [None, None]
+
+    assert unreachable_after(build_apply_drop) == 0
+
+
+def test_concurrent_split_calls_match_a_serial_run(two_workers, monkeypatch):
+    """Four threads run split calls at once; all finish, and each gets the
+    bytes of a serial run."""
+    geom = recon_mid_geometry()
+    sub = sparse_subset(geom, 32)
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal(geom.grid)
+    y = rng.standard_normal((sub.q1, geom.n_det))
+
+    def calls():
+        proj, op = JosephProjector(geom, sub), FbpOperator(geom, sub)
+        return [lambda: proj.apply(x), lambda: proj.applyT(y),
+                lambda: op.apply(y), lambda: op.applyT(x)], (proj, op)
+
+    monkeypatch.setattr(projector_module, "_SPLIT_PIXELS", 10**12)
+    serial_calls, _ = calls()
+    want = [f().tobytes() for f in serial_calls]
+    monkeypatch.setattr(projector_module, "_SPLIT_PIXELS", 0)
+    split_calls, ops = calls()
+    assert all(any(split_flags(op)) for op in ops)
+    results, errors = [], []
+
+    def worker(seed):
+        order = np.random.default_rng(seed).permutation(len(split_calls) * 5) % len(split_calls)
+        try:
+            results.extend((int(i), split_calls[i]().tobytes()) for i in order)
+        except Exception as e:  # reported below, not swallowed by the thread
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 4 * 5 * len(split_calls)
+    assert all(got == want[i] for i, got in results)
+
+
+@pytest.mark.parametrize("q", [15, 30, None], ids=["q15", "q30", "full"])
+def test_toy_cores_never_split(q, two_workers):
+    geom = toy_geometry()
+    sub = None if q is None else sparse_subset(geom, q)
+    for op in (JosephProjector(geom, sub), PixelBackprojector(geom, sub), FbpOperator(geom, sub)):
+        assert split_flags(op) == (False, False)
+
+
+def test_toy_training_steps_never_reach_the_pool(two_workers, monkeypatch):
+    def no_pool():
+        raise AssertionError("a toy call split")
+
+    monkeypatch.setattr(projector_module, "_pool", no_pool)
+    model = toy_model(ToySpec(n_stages=2))
+    result = train_loop(model, toy_phantoms(2, 0), TrainConfig(steps=2, view_schedule=(15, 30)))
+    assert len(result.rows) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_split_calls(two_workers):
+    """A child forked after the pool started has no worker thread; its split
+    calls start a pool of its own instead of waiting for the parent's."""
+    geom = fista_tv_geometry()
+    proj = JosephProjector(geom, sparse_subset(geom, 45))
+    assert proj._core._split_rows
+    x = np.random.default_rng(29).standard_normal(geom.grid)
+    want = proj.apply(x)
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only on the parent's bytes
+        os._exit(int(proj.apply(x).tobytes() != want.tobytes()))
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0

@@ -222,6 +222,19 @@ class TestResume:
                    log_path=log, resume_from=ck)
         assert log.read_bytes() == full.read_bytes()
 
+    @pytest.mark.parametrize("steps", [2, 1], ids=["at", "past"])
+    def test_resume_with_no_steps_left_raises_and_writes_nothing(self, tiny_fan, tmp_path, steps):
+        images = tiny_images(tiny_fan)
+        ck, log = tmp_path / "a.ckpt", tmp_path / "t.tsv"
+        train_loop(tiny_model(tiny_fan, seed=5), images, cfg(steps=2),
+                   log_path=log, checkpoint_path=ck)
+        logged = log.read_bytes()
+        resumed = tmp_path / "b.ckpt"
+        with pytest.raises(ValueError, match=f"ran 2 steps of {steps}"):
+            train_loop(tiny_model(tiny_fan, seed=5), images, cfg(steps=steps),
+                       log_path=log, checkpoint_path=resumed, resume_from=ck)
+        assert log.read_bytes() == logged and not resumed.exists()
+
     def test_periodic_checkpointing_writes_midrun_state(self, tiny_fan, tmp_path):
         images = tiny_images(tiny_fan)
         ck = tmp_path / "c.ckpt"
