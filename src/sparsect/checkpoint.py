@@ -19,7 +19,9 @@ Layout (little-endian):
                 second-moment entry lists in the same encoding
     [rng]       json_len u32, utf8 json of the bit-generator state
 
-A save writes a temporary file beside the target and moves it into place
+Given the scan geometry, `build_model` rebuilds the saved model, and a load
+refuses a header that no model or loss config accepts. A save writes a
+temporary file beside the target and moves it into place
 (`tensorio.atomic_write`), so a failed save keeps the previous checkpoint.
 """
 
@@ -32,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import param_count
+from .correction import CorrectionConfig, param_count
 from .geometry import ScanGeometry
+from .losses import LossConfig
 from .model import ReconNet
 from .optim import Adam, AdamConfig
 from .refine import VARIANTS, stack_width, variant_groups
@@ -161,6 +164,10 @@ def _decode(buf: bytes, path: str | Path) -> Checkpoint:
     if c_in not in _VARIANT_FOR_WIDTH:
         raise CheckpointError(f"{path}: c_in {c_in} not among widths {sorted(_VARIANT_FOR_WIDTH)}")
     slope, gamma = struct.unpack_from("<dd", buf, 24)
+    if n_stages < 1:
+        raise CheckpointError(f"{path}: n_stages must be >= 1, got {n_stages}")
+    CorrectionConfig(width, depth, c_in, slope)  # each raises ValueError
+    LossConfig(gamma=gamma)
     (stored_count,) = struct.unpack_from("<Q", buf, 40)
     (flags,) = struct.unpack_from("<B", buf, 48)
     off = 49
@@ -236,7 +243,7 @@ def restore_model(model: ReconNet, ckpt: Checkpoint):
         arr[...] = ckpt.params[k]
 
 
-def build_model(geom: ScanGeometry, ckpt: Checkpoint, zero_init_image: bool = False) -> ReconNet:
+def build_model(geom: ScanGeometry, ckpt: Checkpoint) -> ReconNet:
     model = ReconNet(
         geom,
         width=ckpt.width,
@@ -244,7 +251,6 @@ def build_model(geom: ScanGeometry, ckpt: Checkpoint, zero_init_image: bool = Fa
         n_stages=ckpt.n_stages,
         variant=ckpt.variant,
         share_stage_params=ckpt.shared,
-        zero_init_image=zero_init_image,
         leaky_slope=ckpt.leaky_slope,
     )
     restore_model(model, ckpt)

@@ -61,7 +61,6 @@ class ReconNet:
         variant: str = "g",
         seed: int = 0,
         share_stage_params: bool = True,
-        zero_init_image: bool = False,
         leaky_slope: float = 0.01,
     ):
         if n_stages < 1:
@@ -77,7 +76,6 @@ class ReconNet:
         self.share_stage_params = share_stage_params
         n_sets = 1 if share_stage_params else n_stages
         self.param_sets = [init_params(self.cfg, seed + i) for i in range(n_sets)]
-        self.zero_init_image = zero_init_image
         self._bundles: dict[int, OperatorBundle] = {}
 
     # -- parameters ----------------------------------------------------------
@@ -136,21 +134,21 @@ class ReconNet:
         if y.geom.fingerprint != self.geom.fingerprint:
             raise GeometryError("sinogram geometry does not match the model's")
         bundle = self.register_views(y.subset)
-        return build_context(y, bundle, self.groups, first_stack=not self.zero_init_image)
+        return build_context(y, bundle, self.groups)
 
     def _stage_loop(self, ctx: StageContext, tape: ad.Tape, pnode_sets, n_iters: int):
-        """Yield the initial image, then the iterate after each stage.
+        """Yield x0, then the iterate after each stage.
 
         Stage `it` uses parameter set min(it, last), which serves shared and
         per-stage parameters, and holds the last set past the unfolded depth.
-        A loop from x0 takes its first stack from the context, which then
-        drops it, so later stages do not hold it too.
+        The first stage takes its stack from the context, which then drops
+        it, so later stages do not hold it too.
         """
         last = len(pnode_sets) - 1
-        x = tape.constant(np.zeros(self.geom.grid) if self.zero_init_image else ctx.x0)
+        x = tape.constant(ctx.x0)
         yield x
         for it in range(n_iters):
-            if it == 0 and ctx.first_stack is not None:
+            if it == 0:
                 stack, ctx.first_stack = tape.constant(ctx.first_stack), None
             else:
                 stack = assemble_stack(x, ctx, self.groups)

@@ -573,7 +573,7 @@ def _crossing(p_col, p_row, d_col, d_row, m1, m2) -> slice:
 
 
 def _ray_tables(geom: ScanGeometry, view: int) -> list:
-    """Joseph tables of full-view index `view`, in the row form of `_OrbitCore`.
+    """Joseph table of full-view index `view`, in the table layout of `_OrbitCore`.
 
     The `_OrbitCore` builder. Only the rays that cross the grid, one slice
     of cells, reach `_joseph_tables`. Each group keeps one index per tap,

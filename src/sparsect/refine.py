@@ -16,7 +16,7 @@ exists separately for gradients). Channel names, in stack order:
 
 The refined estimate r = x + e_data - e_null telescopes to the sparse-view
 FBP x0 = fbp_s(y_s) for any stage input x, so e_full_r and e_null_r are
-measurement-only. A stage loop that starts from x0 has a first stack that
+measurement-only. The stage loop starts from x0, so its first stack
 depends only on the measurement too: `build_context` computes it once, and
 e_full_r and e_null_r are its e_full_x and e_null. Every later stage takes
 them as constants. Wherever a stage projects onto the full views, P_s x is
@@ -115,12 +115,11 @@ class StageContext:
     x0 is the sparse-view FBP of the data; x_interp is the FBP of the
     view-interpolated sinogram; e_full_r and e_null_r are the reprojection
     errors of x0. first_stack is the (c, H, W) stack of a stage whose input
-    is x0, so the first stage of a loop that starts from x0 makes no
-    operator call; e_full_r and e_null_r are its e_full_x and e_null. All
-    depend only on (y_s, geometry), so they are computed once per forward
-    pass, not per stage. A field whose channel group is not enabled is
-    None, and so is first_stack for a loop that starts elsewhere or once
-    the loop has taken it.
+    is x0, so the first stage of the loop makes no operator call; e_full_r
+    and e_null_r are its e_full_x and e_null. All depend only on (y_s,
+    geometry), so they are computed once per forward pass, not per stage.
+    A field whose channel group is not enabled is None, and so is
+    first_stack once the loop has taken it.
     """
 
     bundle: OperatorBundle
@@ -136,14 +135,9 @@ def build_context(
     y: Sinogram,
     bundle: OperatorBundle,
     groups: frozenset[str] = ALL_GROUPS,
-    first_stack: bool = True,
 ) -> StageContext:
-    """Compute x0 and the measurement-only channels the groups read.
-
-    With `first_stack` (a stage loop that starts from x0) the context also
-    holds that first stage's stack; without it, only the e_full_r and
-    e_null_r its groups read.
-    """
+    """Compute x0, the measurement-only channels the groups read, and the
+    stack of the first stage, whose input is x0."""
     if not np.array_equal(y.subset.indices, bundle.subset.indices):
         raise GeometryError("sinogram subset does not match the operator bundle")
     x0 = bundle.fbp_s.apply(y.data)
@@ -151,16 +145,14 @@ def build_context(
     if "interp" in groups:
         x_interp = bundle.fbp_f.apply(bundle.upsampler.apply(y.data))
     ctx = StageContext(bundle, y.data, x0, x_interp, None, None)
-    at_x0 = groups if first_stack else groups & {"full", "null"}
     tape = ad.Tape()
-    chans = _input_channels(tape.constant(x0), ctx, at_x0)
+    chans = _input_channels(tape.constant(x0), ctx, groups)
     if "full" in groups:
         ctx.e_full_r = chans["e_full_x"].value
     if "null" in groups:
         ctx.e_null_r = chans["e_null"].value
-    if first_stack:
-        chans.update(_context_channels(tape, ctx, groups))
-        ctx.first_stack = np.stack([chans[n].value for n in CHANNEL_ORDER if n in chans])
+    chans.update(_context_channels(tape, ctx, groups))
+    ctx.first_stack = np.stack([chans[n].value for n in CHANNEL_ORDER if n in chans])
     return ctx
 
 

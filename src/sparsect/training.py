@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if not self.view_schedule:
             raise ValueError("view_schedule must not be empty")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         # The configs the loop builds from lr and gamma check them.
         AdamConfig(lr=self.lr)
         LossConfig(gamma=self.gamma)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -18,8 +19,10 @@ from sparsect.checkpoint import (
     save_checkpoint,
 )
 from sparsect.correction import init_params
+from sparsect.geometry import Sinogram, sparse_subset
 from sparsect.model import ReconNet
 from sparsect.optim import Adam, AdamConfig
+from sparsect.projector import JosephProjector
 
 RNG = np.random.default_rng(53)
 
@@ -120,6 +123,19 @@ class TestRoundTrip:
         fa, fb = m.named_parameters(), rebuilt.named_parameters()
         for k in fa:
             assert np.array_equal(fa[k], fb[k])
+
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("variant", "abcdefg")
+    def test_rebuilt_model_reconstructs_bitwise(self, tiny_fan, tmp_path, variant, share):
+        m = tiny_model(tiny_fan, variant=variant, share_stage_params=share,
+                       leaky_slope=0.2, seed=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m)
+        rebuilt = build_model(tiny_fan, load_checkpoint(path))
+        subset = sparse_subset(tiny_fan, 5)
+        y = Sinogram(JosephProjector(tiny_fan, subset).apply(RNG.random(tiny_fan.grid)),
+                     tiny_fan, subset)
+        assert np.array_equal(rebuilt.forward(y).data, m.forward(y).data)
 
     def test_failed_save_keeps_previous_checkpoint(self, tiny_fan, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
@@ -247,6 +263,24 @@ class TestValidation:
         assert raw.count(old) == 1
         path.write_bytes(raw.replace(old, struct.pack("<d", value)))
         with pytest.raises(CheckpointError, match="optimizer settings"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, offset, fmt, value",
+        [("n_stages", 16, "<I", 0), ("leaky_slope", 24, "<d", -0.5),
+         ("leaky_slope", 24, "<d", math.nan), ("gamma", 32, "<d", math.nan),
+         ("gamma", 32, "<d", -3.0)],
+        ids=["n_stages-0", "leaky_slope-negative", "leaky_slope-nan", "gamma-nan",
+             "gamma-negative"],
+    )
+    def test_header_setting_no_model_accepts_rejected(
+            self, tiny_fan, tmp_path, field, offset, fmt, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(tiny_fan))
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
     def test_restores_demand_matching_state_blocks(self, tiny_fan, tmp_path):

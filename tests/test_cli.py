@@ -378,6 +378,20 @@ def test_train_resumed_with_no_steps_left_exits_2_and_writes_nothing(tmp_path, g
     assert captured.out == "" and not second.exists() and log.read_bytes() == logged
 
 
+def test_train_refuses_a_negative_checkpoint_interval_and_writes_nothing(
+        tmp_path, geom_file, capsys):
+    # argparse reads "-1" as a value, and (step + 1) % -1 == 0 on every step.
+    man, _, _ = _write_train_setup(tmp_path, geom_file)
+    ck, log = tmp_path / "model.ckpt", tmp_path / "train.tsv"
+    capsys.readouterr()
+    rc = main(["train", "--geometry", geom_file, "--manifest", man, *TRAIN_ARGS,
+               "--checkpoint-every", "-1", "--checkpoint", str(ck), "--log", str(log)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "checkpoint_every must be >= 0" in captured.err
+    assert captured.out == "" and not ck.exists() and not log.exists()
+
+
 def test_ablate_checks_every_letter_before_training(tmp_path, monkeypatch, capsys):
     def train_toy(*args, **kwargs):
         raise AssertionError("a variant started training")

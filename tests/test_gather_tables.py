@@ -1,6 +1,6 @@
 """The stored layout of the projector's and backprojector's tables: one
-index per tap, only the rays that cross the grid, and a pixel form that
-makes the projector's transpose a gather. Several tests count what the
+index per tap, only the rays that cross the grid, and a transposed table
+that makes the projector's transpose a gather. Several tests count what the
 process-wide table store holds, so the file also runs alone."""
 
 import numpy as np
@@ -40,7 +40,7 @@ def full_columns(geom, view):
 
 
 def stored_columns(geom, view):
-    """The stored row form of `view` as (first tap, second tap, w0, w1,
+    """The stored table of `view` as (first tap, second tap, w0, w1,
     stored) over every ray, first taps unpadded."""
     shape = (geom.grid[0], geom.n_det)
     tap0, tap1 = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
@@ -108,8 +108,8 @@ def test_rays_that_miss_the_grid_are_not_stored():
 
 @pytest.mark.parametrize("case", sorted(MIRROR_CASES) + ["wide-fan"])
 def test_admission_estimate_bounds_what_a_kept_table_holds(case):
-    # An admitted projector core keeps each representative's row form and
-    # pixel form; admission counts 1.1 times the first one's bytes per
+    # An admitted projector core keeps each representative's table and its
+    # transpose; admission counts 1.1 times the first one's bytes per
     # representative.
     geom, sub = (wide_fan(), None) if case == "wide-fan" else mirror_case(case)
     core = JosephProjector(geom, sub)._core

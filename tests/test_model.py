@@ -225,12 +225,6 @@ class TestPnp:
         traj = m.run_pnp(y, max_iters=1)
         assert np.array_equal(traj.images[0], bundle.fbp_s.apply(y.data))
 
-    def test_zero_init_starts_at_zero(self, tiny_fan):
-        m = tiny_model(tiny_fan, zero_init_image=True)
-        y, _ = measure(tiny_fan, 5)
-        traj = m.run_pnp(y, max_iters=1)
-        assert not traj.images[0].any()
-
     def test_metric_recorded_for_every_iterate(self, tiny_fan):
         m = tiny_model(tiny_fan)
         y, _ = measure(tiny_fan, 5)

@@ -72,7 +72,7 @@ class ReferenceNet(ReconNet):
 
     def _stage_loop(self, ctx, tape, pnode_sets, n_iters):
         last = len(pnode_sets) - 1
-        x = tape.constant(np.zeros(self.geom.grid) if self.zero_init_image else ctx.x0)
+        x = tape.constant(ctx.x0)
         yield x
         for it in range(n_iters):
             stack = reference_stack(x, ctx, self.groups)
@@ -103,21 +103,19 @@ def grads(model, y, loss_of):
 
 
 class TestReferenceEquality:
-    @pytest.mark.parametrize("zero_init", [False, True])
     @pytest.mark.parametrize("share", [True, False])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_forward_and_pnp_past_depth_equal_bitwise(self, variant, share, zero_init):
-        model, ref = pair(variant, share_stage_params=share, zero_init_image=zero_init)
+    def test_forward_and_pnp_past_depth_equal_bitwise(self, variant, share):
+        model, ref = pair(variant, share_stage_params=share)
         y, _ = scan(model)
         assert np.array_equal(model.forward(y).data, ref.forward(y).data)
         got, want = model.run_pnp(y, 5).images, ref.run_pnp(y, 5).images
         assert len(got) == len(want) == 6
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("zero_init", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_losses_and_parameter_gradients_equal_bitwise(self, variant, zero_init):
-        model, ref = pair(variant, share_stage_params=False, zero_init_image=zero_init)
+    def test_losses_and_parameter_gradients_equal_bitwise(self, variant):
+        model, ref = pair(variant, share_stage_params=False)
         y, x = scan(model)
         losses = (
             lambda out, ctx: total_loss(out, out.tape.constant(x)),
@@ -130,9 +128,8 @@ class TestReferenceEquality:
             assert g.keys() == ref_g.keys()
             assert all(np.array_equal(g[k], ref_g[k]) for k in g)
 
-    @pytest.mark.parametrize("zero_init", [False, True])
-    def test_training_log_and_weights_equal_bitwise(self, zero_init):
-        model, ref = pair("g", zero_init_image=zero_init)
+    def test_training_log_and_weights_equal_bitwise(self):
+        model, ref = pair("g")
         images = toy_phantoms(2, 5)
         cfg = TrainConfig(steps=4, view_schedule=(9, 15), lr=3e-3, gamma=0.25, seed=3)
         rows = train_loop(model, images, cfg).rows
@@ -150,11 +147,6 @@ class TestFirstStack:
         assert np.array_equal(ctx.first_stack[0], ctx.x0)
         _, _, ctx = model.forward_graph(y, ad.Tape())
         assert ctx.first_stack is None
-
-    def test_zero_init_context_builds_no_stack(self):
-        model, _ = pair("g", zero_init_image=True)
-        y, _ = scan(model)
-        assert model._context(y).first_stack is None
 
 
 class CallCounter:
@@ -194,17 +186,6 @@ FORWARD_CALLS = {
     "g": (8, 18, 25),
 }
 
-# The same from a zero image: (whole forward, reference forward).
-ZERO_INIT_CALLS = {
-    "a": (1, 1),
-    "b": (12, 15),
-    "c": (17, 20),
-    "d": (20, 23),
-    "e": (7, 7),
-    "f": (9, 9),
-    "g": (21, 25),
-}
-
 
 class TestOperatorCalls:
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -219,17 +200,6 @@ class TestOperatorCalls:
         forward = sum(counter.take().values())
         ref.forward(y)
         assert (context, forward, sum(counter.take().values())) == FORWARD_CALLS[variant]
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_forward_from_zero_makes_no_more_calls(self, variant, monkeypatch):
-        model, ref = pair(variant, zero_init_image=True)
-        y, _ = scan(model)
-        ref.register_views(y.subset)
-        counter = CallCounter(monkeypatch)
-        model.forward(y)
-        forward = sum(counter.take().values())
-        ref.forward(y)
-        assert (forward, sum(counter.take().values())) == ZERO_INIT_CALLS[variant]
 
     def test_variant_g_per_operator(self, monkeypatch):
         model, ref = pair("g")

@@ -57,6 +57,12 @@ class TestConfig:
             TrainConfig(steps=1, view_schedule=(5,), gamma=gamma)
         assert TrainConfig(steps=1, view_schedule=(5,), gamma=0.0).gamma == 0.0
 
+    @pytest.mark.parametrize("every", [-1, -5])
+    def test_rejects_a_negative_checkpoint_interval(self, every):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            TrainConfig(steps=1, view_schedule=(5,), checkpoint_every=every)
+        assert TrainConfig(steps=1, view_schedule=(5,), checkpoint_every=0).checkpoint_every == 0
+
 
 class TestTrainLoop:
     def test_runs_and_registers_schedule(self, tiny_fan):
