@@ -22,7 +22,10 @@ Layout (little-endian):
 Given the scan geometry, `build_model` rebuilds the saved model, and a load
 refuses a header that no model or loss config accepts. A save writes a
 temporary file beside the target and moves it into place
-(`tensorio.atomic_write`), so a failed save keeps the previous checkpoint.
+(`tensorio.atomic_write`), so a failed save keeps the previous checkpoint and
+a save that returned survives a crash. The checkpoint it replaces is freed on
+a background thread, so the save does not wait for the filesystem to release
+the old file's blocks.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sparsect import tensorio
 from sparsect.experiments import toy_geometry
 from sparsect.geometry import ScanGeometry, make_geometry, sparse_subset
 from sparsect.projector import _STORE
@@ -23,6 +24,14 @@ def dense_from_op(apply_fn, in_shape, out_shape) -> np.ndarray:
         mat[:, j] = apply_fn(e.reshape(in_shape)).ravel()
         e[j] = 0.0
     return mat
+
+
+def drain_pending_free():
+    """Wait for the background unlink of the file the last save replaced."""
+    thread = tensorio._pending_free
+    if thread is not None:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

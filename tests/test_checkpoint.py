@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import os
 import struct
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import drain_pending_free
 
 from sparsect import checkpoint
 from sparsect.checkpoint import (
@@ -154,6 +158,58 @@ class TestRoundTrip:
         assert load_checkpoint(path).width == 2
         assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
 
+
+class TestReplacingCheckpoint:
+    """A save over an earlier checkpoint renames over one of its two links
+    and frees the old file on another thread."""
+
+    def test_old_checkpoint_is_linked_twice_then_freed_off_thread(self, tiny_fan, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(tiny_fan, seed=1))
+        m = tiny_model(tiny_fan, seed=2)
+        events = []
+        real_replace, real_unlink = os.replace, os.unlink
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(dst).st_nlink, threading.get_ident()))
+            real_replace(src, dst)
+
+        def unlink(name, *args, **kwargs):
+            events.append(("unlink", Path(name).parent, threading.get_ident()))
+            real_unlink(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+        save_checkpoint(path, m)
+        drain_pending_free()
+        monkeypatch.undo()
+        caller = threading.get_ident()
+        [replaced, unlinked] = events
+        assert replaced == ("replace", 2, caller)
+        assert unlinked[:2] == ("unlink", tmp_path) and unlinked[2] != caller
+        stored = load_checkpoint(path).params
+        assert all(np.array_equal(v, stored[k]) for k, v in m.named_parameters().items())
+        assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_failed_save_after_a_replace_keeps_the_last_checkpoint(self, tiny_fan, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(tiny_fan, seed=1))
+        save_checkpoint(path, tiny_model(tiny_fan, seed=2))
+        before = path.read_bytes()
+        write_entries = checkpoint._write_entries
+
+        def fail_midway(f, entries):
+            write_entries(f, entries)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, "_write_entries", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, tiny_model(tiny_fan, seed=3))
+        drain_pending_free()
+        assert path.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
 
 class TestValidation:
     def test_hyper_mismatch_fields_each_rejected(self, tiny_fan, tmp_path):

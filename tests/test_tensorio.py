@@ -1,7 +1,14 @@
+import os
+import stat
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import drain_pending_free
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -88,6 +95,181 @@ class TestTensorRoundTrip:
         assert np.array_equal(load_tensor(p), a)
         assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
 
+
+_CHILD_SAVES_TWICE = """
+import sys
+import numpy as np
+from sparsect.tensorio import save_tensor
+save_tensor(sys.argv[1], np.zeros(4))
+save_tensor(sys.argv[1], np.ones(4))
+"""
+
+
+class TestReplacingSave:
+    """A save over an existing file links it to a retired name, renames over
+    one of its two links, and unlinks the retired name on another thread."""
+
+    def test_target_has_two_links_just_before_replace(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.tgrd"
+        save_tensor(p, np.zeros(3))
+        links = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            links.append(os.stat(dst).st_nlink)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        save_tensor(p, np.ones(3))
+        monkeypatch.undo()
+        drain_pending_free()
+        assert links == [2]
+        assert np.array_equal(load_tensor(p), np.ones(3))
+        assert os.stat(p).st_nlink == 1
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
+
+    def test_retired_name_is_unlinked_off_the_callers_thread(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.tgrd"
+        save_tensor(p, np.zeros(3))
+        calls = []
+        real_unlink = os.unlink
+
+        def unlink(name, *args, **kwargs):
+            calls.append((Path(name), threading.get_ident()))
+            real_unlink(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", unlink)
+        save_tensor(p, np.ones(3))
+        drain_pending_free()
+        monkeypatch.undo()
+        [(name, thread)] = calls
+        assert name.parent == tmp_path and name.name.startswith(".a.tgrd.")
+        assert thread != threading.get_ident()
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
+
+    @pytest.mark.parametrize("error", [OSError("no hard links"),
+                                       NotImplementedError("follow_symlinks")])
+    def test_save_where_no_link_can_be_made_still_replaces(self, tmp_path, monkeypatch, error):
+        p = tmp_path / "a.tgrd"
+        save_tensor(p, np.zeros(3))
+
+        def link(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(os, "link", link)
+        save_tensor(p, np.ones(3))
+        monkeypatch.undo()
+        drain_pending_free()
+        assert np.array_equal(load_tensor(p), np.ones(3))
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
+
+    def test_save_where_no_thread_can_start_frees_in_the_caller(self, tmp_path, monkeypatch):
+        # Python 3.12+ refuses new threads once the interpreter is shutting down.
+        p = tmp_path / "a.tgrd"
+        save_tensor(p, np.zeros(3))
+        drain_pending_free()
+
+        def start(self):
+            raise RuntimeError("can't create new thread at interpreter shutdown")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        save_tensor(p, np.ones(3))
+        monkeypatch.undo()
+        assert np.array_equal(load_tensor(p), np.ones(3))
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
+
+    def test_failed_replace_removes_the_retired_link(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.tgrd"
+        save_tensor(p, np.zeros(3))
+        before = p.read_bytes()
+
+        def replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            save_tensor(p, np.ones(3))
+        monkeypatch.undo()
+        drain_pending_free()
+        assert p.read_bytes() == before
+        assert os.stat(p).st_nlink == 1
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
+
+    def test_failed_save_after_a_replace_leaves_only_the_target(self, tmp_path):
+        p = tmp_path / "a.tgrd"
+        save_tensor(p, np.zeros(3))
+        save_tensor(p, np.ones(3))
+        before = p.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            with tensorio.atomic_write(p) as f:
+                f.write(b"partial")
+                raise OSError("disk full")
+        drain_pending_free()
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
+
+    def test_two_threads_saving_one_path(self, tmp_path):
+        p = tmp_path / "a.tgrd"
+        arrays = [np.full(2000, 1.0), np.full(3000, 2.0)]
+        errors = []
+
+        def saves(a):
+            try:
+                for _ in range(50):
+                    save_tensor(p, a)
+            except Exception as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=saves, args=(a,)) for a in arrays]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        drain_pending_free()
+        out = load_tensor(p)
+        assert any(np.array_equal(out, a) for a in arrays)
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
+
+    @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"),
+                        reason="directories cannot be opened on this platform")
+    def test_rename_is_synced_after_the_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.tgrd"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_tensor(p, np.zeros(3))  # a new file
+        save_tensor(p, np.ones(3))  # a replaced one
+        monkeypatch.undo()
+        drain_pending_free()
+        assert events == ["file", "replace", "dir"] * 2
+
+    def test_child_that_exits_at_once_leaves_only_the_target(self, tmp_path):
+        p = tmp_path / "a.tgrd"
+        src = str(Path(tensorio.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(q for q in (src, env.get("PYTHONPATH")) if q)
+        run = subprocess.run([sys.executable, "-c", _CHILD_SAVES_TWICE, str(p)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert np.array_equal(load_tensor(p), np.ones(4))
+        assert [q.name for q in tmp_path.iterdir()] == ["a.tgrd"]
 
 class TestTensorCorruption:
     def write_good(self, tmp_path):
