@@ -39,6 +39,20 @@ image. A loop that gathers, on a grid of at least `_SPLIT_PIXELS` pixels,
 runs its second part on the one worker of a module-level thread pool while
 the caller runs the first; every other call runs both in the caller. The
 outputs are byte-identical either way.
+
+On small grids each member's gather is a few short NumPy calls, and their
+Python steps cost more than the arithmetic. So a kept core on a grid under
+`_SPLIT_PIXELS` pixels whose tables fit `_FUSE_BYTES` (every core of the
+toy scan) runs fused loops over tables laid out for all members at once:
+the projector's image -> rows gathers once per turn code over its orbits'
+tables side by side (`_fused_rows_table`), and the backprojector's loops
+and the projector's rows -> image run once per orbit over all its members
+(`_fused_image_table`), gathering, or scattering with one `np.bincount`
+per tap for the backprojector's image -> rows. Each member's products and
+sums, and each accumulator's order of members, are those of the member
+loops, so the outputs are byte-identical. Every other core runs the member
+loops: an unkept projector core still scatters in rows -> image, and so
+does a backprojector core on a large grid in image -> rows.
 """
 
 from __future__ import annotations
@@ -83,6 +97,19 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # Pixels of the grid from which an orbit loop that gathers splits between
 # two threads (`_OrbitCore`).
 _SPLIT_PIXELS = 112 * 112
+# Bytes of a core's tables, as admission measures them (its orbit count
+# times the bytes of its first representative's table), up to which an
+# admitted core on a grid of fewer than `_SPLIT_PIXELS` pixels runs fused
+# loops (`_OrbitCore`). Fused over member loops, per call (2-vCPU x86,
+# NumPy 2.4, projector apply / applyT, backprojector apply / applyT):
+# the toy scan (32x32, 60 fan views; 0.21 and 0.19 MiB) 0.19 / 0.54 /
+# 0.53 / 0.60 on the full view set and 0.72 / 0.88 / 0.89 / 0.92 at q=15;
+# 48x48 with 120 parallel views at q=12 (0.50 and 0.21 MiB) 0.72-0.93.
+# Above the limit the gains shrink and the projector's apply, which
+# gathers every orbit for each turn code, can lose: 64x64 with 180 views
+# at q=45 (5.2 and 2.2 MiB) 2.07 / 0.91 / 0.97 / 0.96, and 96x96 with
+# 180 views 1.12-1.40 for the projector's apply.
+_FUSE_BYTES = 2**20
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
@@ -132,6 +159,12 @@ class _Store:
                     self.nbytes -= self.entries.popitem(last=False)[1][1]
                 self.entries[key] = (value, size)
                 self.nbytes += size
+
+    def peek(self, key: tuple):
+        """The value kept under `key`, or None, building nothing."""
+        with self._lock:
+            hit = self.entries.get(key)
+        return None if hit is None else hit[0]
 
     def clear(self) -> None:
         with self._lock:
@@ -300,6 +333,63 @@ def _orbit_loop(kernel, tables, work, src, dst, split: bool) -> None:
         future.result()
 
 
+def _full_orbits(geom, fingerprint: str) -> list:
+    """`view_orbits` of the full view set, kept in `_STORE` per geometry."""
+    return _STORE.get((view_orbits, fingerprint),
+                      lambda: view_orbits(geom, np.arange(geom.n_views_full)))
+
+
+def _fused_rows_table(table_of, n_det: int, reps) -> tuple:
+    """The projector's tables `table_of(rep)` of the representatives
+    `reps`, side by side.
+
+    Returns (groups, columns, width). Each group (i0, i1, w0, w1, first, stop)
+    holds (n_steps, n) arrays: column j adds src[i0] * w0 + src[i1] * w1
+    over the steps, i1 being i0 plus the source table's stride, into
+    result column first + j. Tables are grouped by step count, so a square
+    grid has one group: with a group per stride, as `_gather` needs, the
+    toy projector's `apply` took 90 against 58 us per call.
+    `columns[r, cell]` is the result column of the cell in the table of
+    reps[r], or the last of the `width` columns, which no group fills, for
+    a cell that no ray of the view reaches.
+    """
+    tables = [table_of(rep) for rep in reps]
+    columns = np.full((len(tables), n_det), -1)
+    groups, stop = [], 0
+    for n_steps in sorted({group[1].shape[0] for table in tables for group in table}):
+        parts = [(r, group) for r, table in enumerate(tables) for group in table
+                 if group[1].shape[0] == n_steps]
+        first = stop
+        for r, (cells, idx, _, _, _) in parts:
+            columns[r, cells] = stop + np.arange(idx.shape[1])
+            stop += idx.shape[1]
+        side_by_side = partial(np.concatenate, axis=1)
+        groups.append((side_by_side([g[1] for _, g in parts]),
+                       side_by_side([g[1] + g[2] for _, g in parts]),
+                       side_by_side([g[3] for _, g in parts]),
+                       side_by_side([g[4] for _, g in parts]), first, stop))
+    columns[columns < 0] = stop
+    return groups, columns, stop + 1
+
+
+def _fused_image_table(table_of, width: int, orbits) -> list:
+    """Per (rep, size) of `orbits`, the table `table_of(rep)` for `size` members.
+
+    `table_of(rep)` is a one-group table over all pixels (cells `...`,
+    stride 1) into a detector row of `width` samples, one zero at each
+    end. Each entry (idx, w_0, ..., w_K-1) keeps the orbit's weights once,
+    and a (size, n_pixels) idx whose row j reads row j of a stack of such
+    rows: pixel p of member j reads w_k[p] times entry idx[j, p] + k of
+    the flattened stack. So a member's gather index is also where its
+    transpose scatters.
+    """
+    fused = []
+    for rep, size in orbits:
+        [(_, idx, _, *weights)] = table_of(rep)
+        fused.append((idx + width * np.arange(size)[:, None], *weights))
+    return fused
+
+
 def _split_codes(orbits) -> tuple[set, set]:
     """Turn codes cut into two sets of about equal member count, largest first."""
     count = Counter(c for _, _, codes in orbits for c in codes)
@@ -369,6 +459,32 @@ class _OrbitCore:
     public function: the benchmark's tracer wraps those, and its span
     stack is not thread-safe.
 
+    A core is fused when it is admitted, its grid has fewer than
+    `_SPLIT_PIXELS` pixels, and its orbit count times the measured bytes of
+    its first representative's table is at most `_FUSE_BYTES`. A fused core
+    runs no member loop and never splits. Its image -> rows in the
+    projector gathers, for each turn code, every orbit's columns of
+    `_fused_rows_table` from that code's turned image, then takes each
+    view's cells from the result, a mirrored view's reversed; columns a
+    code does not need are computed and dropped, a waste the limit keeps
+    small. Its other loops run once per orbit over `_fused_image_table`:
+    rows -> image (the backprojector, or the projector's transposes) takes
+    the orbit's members' rows into one stack, gathers all of them with one
+    index, and adds each member into its code's accumulator; the
+    backprojector's image -> rows scatters the orbit's members into that
+    stack with one `np.bincount` per tap. A member's rows land in bins no
+    other member touches, and NumPy's sums over the steps axis add in
+    sequence, so every output byte equals the member loops'. One call
+    gathering all members at once would be fewer steps, but its
+    temporaries of several hundred KiB made it slower here than these
+    loops (the toy backprojector's full view set in a prototype: 0.23
+    against 0.13 ms per call).
+    The fused tables are kept in `_STORE` under the geometry and the
+    orbit representatives, so every toy subset, which has the same eight,
+    shares one of each, and an equal operator builds none. They are built
+    from the kept representatives' tables where the store holds them, and
+    otherwise from tables built and dropped.
+
     The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
     at construction from the measured bytes of its first representative's
     table, and for the projector of that table's transpose too, derived and
@@ -400,9 +516,12 @@ class _OrbitCore:
                 _STORE.put((build, self._fingerprint, rep), first)
             return size
 
-        self.admitted = self._admits(_STORE.get(((build, _nbytes), self._fingerprint, rep), measure))
+        size = _STORE.get(((build, _nbytes), self._fingerprint, rep), measure)
+        self.admitted = self._admits(size)
         self.tables = (partial(_stored_table, build, geom, self._fingerprint) if self.admitted
                        else partial(build, geom))
+        self.fused = (self.admitted and geom.grid[0] * geom.grid[1] < _SPLIT_PIXELS
+                      and len(self.orbits) * size <= _FUSE_BYTES)
 
         # image -> rows: member (code, (mirrored, position)) reads its code's
         # source and fills its own row.
@@ -421,6 +540,26 @@ class _OrbitCore:
         self._image_work = image_work, parts
         self._codes = list(dict.fromkeys(c for _, _, codes in self.orbits for c in codes))
 
+        if self.fused:
+            # The members' rows in the stack of plain then mirrored rows, in
+            # orbit order; per orbit, its members' span of that order and
+            # their codes' accumulators (a slice where they are consecutive).
+            slot = {code: k for k, code in enumerate(self._codes)}
+            self._fused_sel = np.array([int(c >= 4) * self.subset.q1 + vi
+                                        for _, positions, codes in self.orbits
+                                        for vi, c in zip(positions, codes)])
+            self._fused_work, start = [], 0
+            for rep, positions, codes in self.orbits:
+                slots = [slot[c] for c in codes]
+                if slots == list(range(slots[0], slots[0] + len(slots))):
+                    slots = slice(slots[0], slots[0] + len(slots))
+                else:
+                    slots = np.array(slots)
+                self._fused_work.append((start, start + len(codes), slots))
+                start += len(codes)
+            self._rows_map = None
+            self._fused_key = (self._fingerprint, tuple(rep for rep, _, _ in self.orbits))
+
         big = _WORKERS > 1 and geom.grid[0] * geom.grid[1] >= _SPLIT_PIXELS
         self._split_rows = big and not to_image and all(self._rows_work[1])
         self._split_image = big and (to_image or self.admitted) and all(parts)
@@ -437,8 +576,80 @@ class _OrbitCore:
         return _STORE.get(((self._build, _transposed), self._fingerprint, view),
                           lambda: self._derive_transpose(self.tables(view)))
 
+    def _table(self, view: int):
+        """The table of `view`, the kept one if the store holds it, else built unkept."""
+        table = _STORE.peek((self._build, self._fingerprint, view))
+        return self._build(self.geom, view) if table is None else table
+
+    def _fused_image_tables(self) -> list:
+        """`_fused_image_table` of the backprojector's tables, or of the
+        projector's transposes, for this core's orbits, each sized to its
+        orbit in the full view set; kept per geometry and orbit set."""
+        if self._to_image:
+            kind, table_of = (self._build, _fused_image_table), self._table
+        else:
+            kind = (self._build, _transposed, _fused_image_table)
+            table_of = lambda rep: self._derive_transpose(self._table(rep))  # noqa: E731
+
+        def make():
+            sizes = {rep: len(positions)
+                     for rep, positions, _ in _full_orbits(self.geom, self._fingerprint)}
+            return _fused_image_table(table_of, self.geom.n_det + 2,
+                                      [(rep, sizes[rep]) for rep, _, _ in self.orbits])
+
+        return _STORE.get((kind, *self._fused_key), make)
+
+    def _fused_project(self, x) -> np.ndarray:
+        """image -> rows of a fused projector core: per turn code, one
+        gather of every orbit's table (`_fused_rows_table`), then one take
+        of each view's cells, its mirrored views' reversed."""
+        geom = self.geom
+        groups, columns, width = _STORE.get(
+            ((self._build, _fused_rows_table), *self._fused_key),
+            lambda: _fused_rows_table(self._table, geom.n_det, self._fused_key[1]))
+        if self._rows_map is None:
+            rows_map = np.empty(self.rows_shape, dtype=np.int64)
+            for r, (_, positions, codes) in enumerate(self.orbits):
+                for vi, c in zip(positions, codes):
+                    k = self._codes.index(c)
+                    rows_map[vi] = k * width + columns[r, ::-1 if c >= 4 else None]
+            self._rows_map = rows_map
+        res = np.zeros((len(self._codes), width))
+        for k, code in enumerate(self._codes):
+            src = _flat(_turned(x, code), _image_pad(geom.grid))
+            for i0, i1, w0, w1, first, stop in groups:
+                vals = src.take(i0)
+                vals *= w0
+                tap = src.take(i1)
+                tap *= w1
+                vals += tap
+                vals.sum(axis=0, out=res[k, first:stop])
+        return res.take(self._rows_map)
+
+    def _fused_backproject_t(self, x) -> np.ndarray:
+        """image -> rows of a fused backprojector core: per orbit, one
+        bincount per tap over all its members (`_fused_image_table`)."""
+        q1, n = self.rows_shape
+        width = n + 2
+        srcs = np.stack([_turned(x, code).ravel() for code in self._codes])
+        tables = self._fused_image_tables()
+        rows = np.zeros(self._fused_sel.size * width)
+        for r, (start, stop, slots) in enumerate(self._fused_work):
+            idx, *weights = tables[r]
+            flat = idx[:stop - start].ravel()
+            vals = srcs[slots]
+            for k, w in enumerate(weights):
+                dst = rows[start * width + k:stop * width]
+                dst += np.bincount(flat, (w * vals).ravel(), minlength=dst.size)
+        out = np.zeros((2, q1, width))
+        out.reshape(2 * q1, width)[self._fused_sel] = rows.reshape(-1, width)
+        plain, mirrored = out
+        return plain[:, 1:n + 1] + mirrored[:, ::-1][:, 1:n + 1]
+
     def image_to_rows(self, x) -> np.ndarray:
         x = _checked(x, self.geom.grid, "image")
+        if self.fused:
+            return self._fused_backproject_t(x) if self._to_image else self._fused_project(x)
         scatter = self._to_image
         pad = 0 if scatter else _image_pad(self.geom.grid)
         q1, n = self.rows_shape
@@ -463,12 +674,31 @@ class _OrbitCore:
         rows = np.zeros((2, y.shape[0], y.shape[1] + 2 * gather))
         rows[0, :, int(gather):int(gather) + y.shape[1]] = y
         rows[1] = rows[0, :, ::-1]
-        tables = self.tables if self._to_image or not gather else self.transposed_tables
-        if self._split_image and self.admitted:
-            tables = {rep: tables(rep) for rep, _ in self._image_work[0]}.__getitem__
-        accs = {code: np.zeros(m + 2 * pad) for code in self._codes}
-        _orbit_loop(_gather if gather else _scatter, tables, self._image_work, rows, accs,
-                    self._split_image)
+        if self.fused:
+            # Per orbit, one gather from its members' rows; each member adds
+            # into its code's accumulator, in orbit order as in the loops.
+            stack = rows.reshape(-1, rows.shape[2]).take(self._fused_sel, axis=0).ravel()
+            acc = np.zeros((len(self._codes), m))
+            tables = self._fused_image_tables()
+            for r, (start, stop, slots) in enumerate(self._fused_work):
+                idx, *weights = tables[r]
+                src = stack[start * rows.shape[2]:]
+                idx = idx[:stop - start]
+                vals = src.take(idx)
+                vals *= weights[0]
+                for k, w in enumerate(weights[1:], 1):
+                    tap = src[k:].take(idx)
+                    tap *= w
+                    vals += tap
+                acc[slots] += vals
+            accs = dict(zip(self._codes, acc))
+        else:
+            tables = self.tables if self._to_image or not gather else self.transposed_tables
+            if self._split_image and self.admitted:
+                tables = {rep: tables(rep) for rep, _ in self._image_work[0]}.__getitem__
+            accs = {code: np.zeros(m + 2 * pad) for code in self._codes}
+            _orbit_loop(_gather if gather else _scatter, tables, self._image_work, rows, accs,
+                        self._split_image)
         images = {code: acc[pad:pad + m].reshape(grid) for code, acc in accs.items()}
         out = images.pop(0, None)
         if out is None:

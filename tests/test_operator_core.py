@@ -1,8 +1,9 @@
 """Properties every operator on the projector's tap-table core shares: one
 subset check, no reference cycles, the cache admission rule, outputs that do
 not depend on it, one process-wide table store, a gather whose transpose
-is the scatter, and orbit loops whose split into two threads changes no
-output byte."""
+is the scatter, and orbit loops whose split into two threads, or fusion
+into one step per turn code or orbit on small grids, changes no output
+byte."""
 
 import gc
 import os
@@ -400,6 +401,34 @@ def test_dropped_operator_after_split_calls_is_freed_at_once(cls, limit, two_wor
     assert unreachable_after(build_apply_drop) == 0
 
 
+def assert_concurrent_calls_match(calls, want):
+    """Four threads run `calls` at once, each in its own random order, with
+    a short switch interval; all finish, and each call gives `want`'s bytes."""
+    results, errors = [], []
+
+    def worker(seed):
+        order = np.random.default_rng(seed).permutation(len(calls) * 5) % len(calls)
+        try:
+            results.extend((int(i), calls[i]().tobytes()) for i in order)
+        except Exception as e:  # reported below, not swallowed by the thread
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 4 * 5 * len(calls)
+    assert all(got == want[i] for i, got in results)
+
+
 def test_concurrent_split_calls_match_a_serial_run(two_workers, monkeypatch):
     """Four threads run split calls at once; all finish, and each gets the
     bytes of a serial run."""
@@ -420,29 +449,33 @@ def test_concurrent_split_calls_match_a_serial_run(two_workers, monkeypatch):
     monkeypatch.setattr(projector_module, "_SPLIT_PIXELS", 0)
     split_calls, ops = calls()
     assert all(any(split_flags(op)) for op in ops)
-    results, errors = [], []
+    assert_concurrent_calls_match(split_calls, want)
 
-    def worker(seed):
-        order = np.random.default_rng(seed).permutation(len(split_calls) * 5) % len(split_calls)
-        try:
-            results.extend((int(i), split_calls[i]().tobytes()) for i in order)
-        except Exception as e:  # reported below, not swallowed by the thread
-            errors.append(e)
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(results) == 4 * 5 * len(split_calls)
-    assert all(got == want[i] for i, got in results)
+def test_concurrent_fused_calls_match_member_loops(monkeypatch):
+    """Four threads run fused calls at once on cores that have not yet built
+    their fused tables or views map; each gets the member loops' bytes."""
+    geom = toy_geometry()
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal(geom.grid)
+    subs = [sparse_subset(geom, 15), None]
+    ys = [rng.standard_normal((15, geom.n_det)), rng.standard_normal((60, geom.n_det))]
+
+    def calls():
+        out = []
+        for sub, y in zip(subs, ys):
+            proj, op = JosephProjector(geom, sub), FbpOperator(geom, sub)
+            out += [lambda p=proj: p.apply(x), lambda p=proj, y=y: p.applyT(y),
+                    lambda o=op, y=y: o.apply(y), lambda o=op: o.applyT(x)]
+        return out
+
+    monkeypatch.setattr(projector_module, "_FUSE_BYTES", 0)
+    want = [f().tobytes() for f in calls()]
+    monkeypatch.undo()
+    _STORE.clear()
+    fused_calls = calls()
+    assert JosephProjector(geom)._core.fused
+    assert_concurrent_calls_match(fused_calls, want)
 
 
 @pytest.mark.parametrize("q", [15, 30, None], ids=["q15", "q30", "full"])
@@ -461,6 +494,124 @@ def test_toy_training_steps_never_reach_the_pool(two_workers, monkeypatch):
     model = toy_model(ToySpec(n_stages=2))
     result = train_loop(model, toy_phantoms(2, 0), TrainConfig(steps=2, view_schedule=(15, 30)))
     assert len(result.rows) == 2
+
+
+def small_parallel_24():
+    """A parallel scan on a 24x24 grid whose orbits start at a mirrored view:
+    every subset's first turn code is 4, not 0."""
+    return make_geometry("parallel", n_views=40, n_det=37, det_spacing=1.0, grid=(24, 24),
+                         pixel_size=1.0)
+
+
+FUSE_CASES = {
+    "toy-q15": (toy_geometry, 15),
+    "toy-q30": (toy_geometry, 30),
+    "toy-full": (toy_geometry, None),
+    "parallel-24-q10": (small_parallel_24, 10),
+    "nonsquare-fan-q10": (nonsquare_fan, 10),
+}
+
+
+def fused_flags(op):
+    core = op._bp._core if isinstance(op, FbpOperator) else op._core
+    return core.fused
+
+
+@pytest.mark.parametrize("case", sorted(FUSE_CASES))
+def test_fused_and_member_loops_give_identical_bytes(case, monkeypatch):
+    """Every operator's apply and applyT, with the fusion limit above every
+    tested geometry's tables (fused) and at 0 (the member loops), on inputs
+    with negative values, and on inputs of -0.0, whose sums are -0.0 until
+    added into a zero."""
+    make, q = FUSE_CASES[case]
+    geom = make()
+    sub = None if q is None else sparse_subset(geom, q)
+    rng = np.random.default_rng(30)
+    rows_shape = (JosephProjector(geom, sub).subset.q1, geom.n_det)
+    inputs = [(rng.standard_normal(geom.grid), rng.standard_normal(rows_shape)),
+              (np.full(geom.grid, -0.0), np.full(rows_shape, -0.0))]
+
+    def outputs(fuse_bytes):
+        monkeypatch.setattr(projector_module, "_FUSE_BYTES", fuse_bytes)
+        _STORE.clear()
+        ops = [JosephProjector(geom, sub), PixelBackprojector(geom, sub), FbpOperator(geom, sub)]
+        got = []
+        for x, y in inputs:
+            for op in ops:
+                image_in = isinstance(op, JosephProjector)
+                got += [op.apply(x if image_in else y), op.applyT(y if image_in else x)]
+        return [a.tobytes() for a in got], [fused_flags(op) for op in ops]
+
+    fused, fused_on = outputs(2**40)
+    loops, fused_off = outputs(0)
+    assert fused_on == [True] * 3 and fused_off == [False] * 3
+    assert fused == loops
+    if case.startswith("parallel"):
+        assert JosephProjector(geom, sub)._core._codes[0] != 0
+
+
+@pytest.mark.parametrize("q", [15, 30, None], ids=["q15", "q30", "full"])
+def test_toy_cores_fuse(q):
+    geom = toy_geometry()
+    sub = None if q is None else sparse_subset(geom, q)
+    for op in (JosephProjector(geom, sub), PixelBackprojector(geom, sub), FbpOperator(geom, sub)):
+        assert fused_flags(op)
+
+
+@pytest.mark.parametrize("make, q", [
+    (recon_mid_geometry, 32), (recon_mid_geometry, None), (fista_tv_geometry, 45),
+], ids=["recon-mid-q32", "recon-mid-full", "fista-tv-q45"])
+def test_benchmark_scale_cores_never_fuse(make, q):
+    geom = make()
+    sub = None if q is None else sparse_subset(geom, q)
+    for op in (JosephProjector(geom, sub), PixelBackprojector(geom, sub), FbpOperator(geom, sub)):
+        assert not fused_flags(op)
+
+
+# `_STORE.nbytes` after one toy training step at each schedule subset, at
+# the commit before fused cores (its kept tables and measures).
+UNFUSED_TOY_STORE_BYTES = 414_912
+
+
+def test_toy_steps_keep_the_fused_tables_within_two_mib_more():
+    model = toy_model(ToySpec(n_stages=2))
+    for q in (15, 30):
+        result = train_loop(model, toy_phantoms(2, 0), TrainConfig(steps=1, view_schedule=(q,)))
+        assert len(result.rows) == 1
+    assert _STORE.nbytes <= UNFUSED_TOY_STORE_BYTES + 2 * 2**20
+    assert _STORE.nbytes == sum(size for _, size in _STORE.entries.values())
+
+
+def test_equal_operators_build_no_fused_table(monkeypatch):
+    built = []
+
+    def counted(fn):
+        def wrapped(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    for name in ("_fused_rows_table", "_fused_image_table"):
+        monkeypatch.setattr(projector_module, name, counted(getattr(projector_module, name)))
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(toy_geometry().grid)
+
+    def run_all():
+        outs = []
+        for q in (15, 30, None):
+            geom = toy_geometry()  # equal fields, a new object each time
+            sub = None if q is None else sparse_subset(geom, q)
+            proj, bp = JosephProjector(geom, sub), PixelBackprojector(geom, sub)
+            y = proj.apply(x)
+            outs += [y, proj.applyT(y), bp.apply(y), bp.applyT(x)]
+        return [a.tobytes() for a in outs]
+
+    first = run_all()
+    # The toy subsets share one orbit set, so one table of each kind serves
+    # all of them: the projector's, its transposes' and the backprojector's.
+    assert sorted(built) == ["_fused_image_table", "_fused_image_table", "_fused_rows_table"]
+    assert run_all() == first
+    assert len(built) == 3
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
