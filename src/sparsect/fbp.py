@@ -12,14 +12,12 @@ into the zero-padded detector row, and two weights.
 `projector._OrbitCore` builds them once per orbit of views under the
 symmetries of the square, keeps them in the process-wide table store when
 they are admitted, and runs the orbit loops over turned or transposed
-copies of the image: `apply` gathers through the table, split between two
-threads on grids of at least `projector._SPLIT_PIXELS` pixels, and `applyT`
-scatters, in the caller alone. On smaller grids a kept core whose tables
-fit `projector._FUSE_BYTES` (every toy operator) runs fused loops: once
-per orbit, `apply` gathers all its members' rows with one index and
-`applyT` scatters them with one `np.bincount` per tap, through one table
-that both share. Its outputs are byte-identical to the member loops'. On
-large grids `applyT` still scatters member by member.
+copies of the image: `apply` gathers through the table, and `applyT`
+gathers each detector cell's pixels, read in cell order from the same
+table (`projector._runs_by_cell`). Both split between two threads on grids
+of at least `projector._SPLIT_PIXELS` pixels. On smaller grids a kept core
+whose tables fit `projector._FUSE_BYTES` (every toy operator) runs both
+once per orbit rather than once per view, with byte-identical outputs.
 The upsampler interpolates whole detector rows: each full view reads two
 consecutive rows of the subset's sinogram, extended by one wrap-around row
 at each end, with one weight per row.
@@ -125,12 +123,11 @@ class PixelBackprojector:
     """Interpolating backprojection over the subset's views.
 
     Fan beam folds the inverse-squared magnification weight into each
-    pixel's contribution. apply gathers from detector rows, on two
-    threads where the core splits it; applyT scatters back with identical
-    weights, on one, so the pair is an exact transpose. A fused core (small
-    grids, `projector._OrbitCore`) runs both once per orbit rather than
-    once per view: the gather index of each member is where its transpose
-    scatters. Only a large grid's applyT still scatters one view at a time.
+    pixel's contribution. apply gathers from detector rows; applyT gathers
+    each detector cell's pixels with identical weights, so the pair is an
+    exact transpose. Both run on two threads where the core splits them,
+    and once per orbit rather than once per view in a fused core (small
+    grids, `projector._OrbitCore`).
     """
 
     def __init__(self, geom: ScanGeometry, subset: ViewSubset | None = None):

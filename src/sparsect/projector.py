@@ -14,18 +14,20 @@ subset and each input against the scan (`geometry._view_subset`,
 (image -> rows and rows -> image). Tables are built once per orbit of
 views under the 8 symmetries of the square (`geometry.view_orbits`): on a
 square grid, views a quarter turn apart or mirror images about the grid's
-diagonal share one table, and each is read from (or accumulated into) a
-turned or transposed copy of the image, a mirrored view with its detector
-row reversed. Other grids build one table per view. Each operator supplies
-only a module-level builder of its tables.
+diagonal share one table, and each reads a turned or transposed copy of
+the image, a mirrored view with its detector row reversed. Other grids
+build one table per view. Each operator supplies only a module-level
+builder of its tables.
 
-Every table has one layout, a list of groups (cells, idx, stride, w_0,
-..., w_K-1). `_gather` adds the sum of w_k * src[idx + k*stride] into
-out[cells], and `_scatter` is its exact transpose. The projector's groups
-map the image to detector cells; the backprojector's one group maps a
-detector row to every pixel. A kept projector table derives its transpose
-(`_transposed`) once, in the backprojector's layout, so the projector's
-transpose gathers too; an unkept one scatters.
+Every loop gathers. A table is a list of groups (cells, idx, stride, w_0,
+..., w_K-1), and `_gather` adds the sum of w_k * src[idx + k*stride] into
+out[cells]. The projector's groups map the image to detector cells; the
+backprojector's one group maps a detector row to every pixel. Against its
+table's direction an operator gathers through the table's transpose,
+derived from the table alone: the projector's `_ray_transpose`, in the
+backprojector's layout, and the backprojector's `_runs_by_cell`, its
+pixels in detector-cell order, one run per cell (`_gather_runs`). So a
+kept table and a rebuilt one give the same bytes.
 
 Kept tables live in one process-wide store (`_STORE`), keyed by what they
 are (builder or derivation), geometry fingerprint and representative view,
@@ -33,26 +35,11 @@ so every operator over an equal geometry reads the same tables, whoever
 built them first. The store also keeps the measured bytes of each
 geometry's first table, which decide admission.
 
-Each orbit loop runs a work list that `_OrbitCore` cuts into two parts at
-construction: the orbits for image -> rows, the turn codes for rows ->
-image. A loop that gathers, on a grid of at least `_SPLIT_PIXELS` pixels,
-runs its second part on the one worker of a module-level thread pool while
-the caller runs the first; every other call runs both in the caller. The
-outputs are byte-identical either way.
-
-On small grids each member's gather is a few short NumPy calls, and their
-Python steps cost more than the arithmetic. So a kept core on a grid under
-`_SPLIT_PIXELS` pixels whose tables fit `_FUSE_BYTES` (every core of the
-toy scan) runs fused loops over tables laid out for all members at once:
-the projector's image -> rows gathers once per turn code over its orbits'
-tables side by side (`_fused_rows_table`), and the backprojector's loops
-and the projector's rows -> image run once per orbit over all its members
-(`_fused_image_table`), gathering, or scattering with one `np.bincount`
-per tap for the backprojector's image -> rows. Each member's products and
-sums, and each accumulator's order of members, are those of the member
-loops, so the outputs are byte-identical. Every other core runs the member
-loops: an unkept projector core still scatters in rows -> image, and so
-does a backprojector core on a large grid in image -> rows.
+On grids of at least `_SPLIT_PIXELS` pixels an orbit loop runs half its
+work on the one worker of a module-level thread pool. On smaller grids a
+kept core whose tables fit `_FUSE_BYTES` (every core of the toy scan) runs
+fused loops over tables laid out for all members at once. Either way the
+outputs are byte-identical to the serial member loops' (`_OrbitCore`).
 """
 
 from __future__ import annotations
@@ -94,8 +81,8 @@ _CACHE_LIMIT_BYTES = 64 * 2**20
 # cores, the one worker of `_POOL`, created on the first split call.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-# Pixels of the grid from which an orbit loop that gathers splits between
-# two threads (`_OrbitCore`).
+# Pixels of the grid from which an orbit loop splits between two threads
+# (`_OrbitCore`).
 _SPLIT_PIXELS = 112 * 112
 # Bytes of a core's tables, as admission measures them (its orbit count
 # times the bytes of its first representative's table), up to which an
@@ -103,12 +90,12 @@ _SPLIT_PIXELS = 112 * 112
 # loops (`_OrbitCore`). Fused over member loops, per call (2-vCPU x86,
 # NumPy 2.4, projector apply / applyT, backprojector apply / applyT):
 # the toy scan (32x32, 60 fan views; 0.21 and 0.19 MiB) 0.19 / 0.54 /
-# 0.53 / 0.60 on the full view set and 0.72 / 0.88 / 0.89 / 0.92 at q=15;
-# 48x48 with 120 parallel views at q=12 (0.50 and 0.21 MiB) 0.72-0.93.
-# Above the limit the gains shrink and the projector's apply, which
-# gathers every orbit for each turn code, can lose: 64x64 with 180 views
-# at q=45 (5.2 and 2.2 MiB) 2.07 / 0.91 / 0.97 / 0.96, and 96x96 with
-# 180 views 1.12-1.40 for the projector's apply.
+# 0.53 / 0.38 on the full view set and 0.72 / 0.88 / 0.89 / 0.31 at q=15;
+# 48x48 with 120 parallel views at q=12 (0.50 and 0.21 MiB) 0.72-0.93,
+# and 0.38 for the backprojector's applyT. Above the limit the projector's
+# apply, which gathers every orbit for each turn code, can lose: 64x64
+# with 180 views at q=45 (5.2 and 2.2 MiB) 2.07 / 0.91 / 0.97 / 0.25, and
+# 96x96 with 180 views 1.12-1.40 for the projector's apply.
 _FUSE_BYTES = 2**20
 _POOL = None
 _POOL_LOCK = threading.Lock()
@@ -208,43 +195,52 @@ def _gather(src, table, out) -> None:
         out[cells] += vals if vals.ndim == 1 else vals.sum(axis=0)
 
 
-def _scatter(vals, table, acc) -> None:
-    """Transpose of `_gather`: adds w_k * vals[cells] into acc[idx + k*stride]."""
-    for group in table:
-        cells, idx, stride = group[:3]
-        v, flat = vals[cells], idx.ravel()
-        for k, w in enumerate(group[3:]):
-            dst = acc[k * stride:]
-            dst += np.bincount(flat, (w * v).ravel(), minlength=dst.size)
+def _gather_runs(src, table, out) -> None:
+    """Adds into out[..., cells] the sum of each run of w * src[..., order]
+    for a `_runs_by_cell` table (order, starts, cells, w): one run per
+    cell, from its start to the next. A 2-D src and out hold one member per
+    row."""
+    order, starts, cells, w = table
+    vals = src.take(order, axis=-1)
+    vals *= w
+    out[..., cells] += np.add.reduceat(vals, starts, axis=-1)
 
 
-def _transposed(groups, n_pixels: int, n_cells: int, pad: int) -> list:
-    """The table of the transpose of the projector's table `groups`.
+def _runs_by_cell(geom, table) -> tuple:
+    """The transpose of a table in pixel form, as `_gather_runs` reads it.
 
-    It is one group over all pixels (cells `...`), with stride 1 and
-    (n_pixels,) arrays into the detector row padded by one zero at each
-    end: pixel p reads w_k[p] * row[idx[p] + k] over k < K. K is the
-    widest span of cells that meet one pixel. A ray meets a pixel at most
-    once, at the step of the pixel's plane and through one of its two
-    taps, so each nonzero weight is one entry of some w_k.
+    `table` is one group over all pixels (cells `...`, stride 1) into the
+    detector row with one zero at each end: pixel p reads w_k[p] *
+    row[idx[p] + k]. Its (tap, pixel) entries are sorted by the cell they
+    read, stably, and those that read the row's zeros are dropped. `order`
+    holds each entry's pixel, offset by `_image_pad` into the padded image
+    that the loops read, and `w` its weight; `starts` is where each cell's
+    run begins, and `cells` the cells, a slice wherever they are
+    consecutive.
     """
-    parts = []
-    for cells, idx, stride, w0, w1 in groups:
-        ray = np.arange(n_cells)[cells]
-        for shift, w in ((-pad, w0), (stride - pad, w1)):
-            step, col = np.nonzero(w)
-            parts.append((idx[step, col] + shift, ray[col], w[step, col]))
-    lo = np.full(n_pixels, n_cells)
-    hi = np.full(n_pixels, -1)
-    for pix, cell, _ in parts:
-        np.minimum.at(lo, pix, cell)
-        np.maximum.at(hi, pix, cell)
-    span = max(int((hi - lo).max()) + 1, 1)
-    j0 = np.clip(lo, 0, n_cells - span)
-    w = np.zeros((span, n_pixels))
-    for pix, cell, wt in parts:
-        w[cell - j0[pix], pix] = wt
-    return [(..., j0 + 1, 1, *w)]
+    [(_, idx, _, *weights)] = table
+    cell = (idx + np.arange(len(weights))[:, None]).ravel()
+    # Sorted as the narrowest unsigned integers that hold them: NumPy's
+    # stable sort of those is a radix sort, 3-4x faster than of int64.
+    order = np.argsort(cell.astype(np.min_scalar_type(geom.n_det + 1)), kind="stable")
+    # Where the entries of padded cells 1, ..., n_det + 1 begin: cell 0 and
+    # cell n_det + 1 are the zeros.
+    bounds = np.searchsorted(cell.take(order), np.arange(1, geom.n_det + 2))
+    read = bounds[1:] > bounds[:-1]
+    cells = np.flatnonzero(read)
+    if cells.size and cells[-1] - cells[0] == cells.size - 1:
+        cells = slice(int(cells[0]), int(cells[-1]) + 1)
+    order = order[bounds[0]:bounds[-1]]
+    pixel = np.broadcast_to(np.arange(idx.size), (len(weights), idx.size)).ravel()
+    return (pixel.take(order) + _image_pad(geom.grid), bounds[:-1][read] - bounds[0], cells,
+            np.concatenate(weights).take(order))
+
+
+def _derived(derive, tables, key, view):
+    """`derive(tables(view))`, kept in `_STORE` under (*key, view) unless key is None."""
+    if key is None:
+        return derive(tables(view))
+    return _STORE.get((*key, view), lambda: derive(tables(view)))
 
 
 _KEEP, _REVERSE = slice(None), slice(None, None, -1)
@@ -273,8 +269,6 @@ def _unturned(z, code: int) -> np.ndarray:
 
 def _flat(img, pad: int) -> np.ndarray:
     """img flattened, with `pad` zeros at each end."""
-    if not pad:
-        return img.ravel()
     out = np.zeros(img.size + 2 * pad)
     out[pad:-pad].reshape(img.shape)[...] = img
     return out
@@ -380,8 +374,7 @@ def _fused_image_table(table_of, width: int, orbits) -> list:
     end. Each entry (idx, w_0, ..., w_K-1) keeps the orbit's weights once,
     and a (size, n_pixels) idx whose row j reads row j of a stack of such
     rows: pixel p of member j reads w_k[p] times entry idx[j, p] + k of
-    the flattened stack. So a member's gather index is also where its
-    transpose scatters.
+    the flattened stack; row 0 is the representative's own index.
     """
     fused = []
     for rep, size in orbits:
@@ -404,99 +397,81 @@ def _split_codes(orbits) -> tuple[set, set]:
 class _OrbitCore:
     """Orbit loops and table lookup of a tap-table operator over a view subset.
 
-    `build(geom, view)` returns the table of full-view index `view`: a list
-    of groups (cells, idx, stride, w_0, ..., w_K-1) that `_gather` reads
-    and `_scatter` writes. The projector's table (`_ray_tables`) maps the
-    flat image, with `_image_pad` zeros at each end, to the cells of a
-    detector row, summing over the steps of (n_steps, n_cells) arrays; with
-    `to_image` the table maps the detector row, with one zero at each end,
-    to the pixels of the flat image in one group of (n_pixels,) arrays
-    whose cells are `...`.
+    `build(geom, view)` returns the table of full-view index `view`. The
+    projector's table (`_ray_tables`) maps the flat image, with
+    `_image_pad` zeros at each end, to the cells of a detector row, summing
+    over the steps of (n_steps, n_cells) arrays; with `to_image` the table
+    maps the detector row, with one zero at each end, to the pixels of the
+    flat image in one group of (n_pixels,) arrays whose cells are `...`.
+    `image_to_rows` and `rows_to_image` each run one orbit loop of
+    gathers, through the table or, against its direction, through its
+    transpose. A mirrored view (code >= 4) reads and writes its row
+    reversed.
 
-    `image_to_rows` and `rows_to_image` each run one orbit loop. The loop
-    gathers where the table maps its input to its output and scatters
-    where it maps the other way, except that `rows_to_image` of an admitted
-    projector core gathers through the `_transposed` tables. A mirrored
-    view (code >= 4) reads and writes its row reversed.
-
-    Each loop runs a work list built here, once per core: a list of (rep,
-    members) entries in orbit order, and the same work cut into two parts.
-    `image_to_rows` cuts the orbits into two runs of about equal member
-    count, so each view's row is written by one part. `rows_to_image` cuts
-    the turn codes into two sets of about equal member count; each part
-    adds into its own codes' accumulators only, in orbit order, and the
-    accumulators are summed in the order in which each code first appears.
-    So a split call and a serial one give byte-identical outputs. A serial
-    call runs both parts merged in orbit order, so an unadmitted core
-    builds each table once.
+    Each loop runs a work list built here: (rep, members) entries in orbit
+    order, and the same work cut into two parts. `image_to_rows` cuts the
+    orbits into two runs of about equal member count, so each view's row is
+    written by one part. `rows_to_image` cuts the turn codes into two sets
+    of about equal member count; each part adds into its own codes'
+    accumulators only, in orbit order, and the accumulators are summed in
+    the order in which each code first appears. So a split call and a
+    serial one give byte-identical outputs. A serial call runs both parts
+    merged in orbit order, so an unadmitted core builds each table once.
 
     A call splits, its part 1 run by the one worker of `_POOL` while the
-    caller runs part 0, when its loop gathers (the projector's `apply`, an
-    admitted projector's `applyT` and the backprojector's `apply`), the
-    process may use two cores (`_WORKERS`), both parts have members, and
-    the grid has at least `_SPLIT_PIXELS` pixels. The measure is the work
-    of one member, not of the call: each member's gather is a few NumPy
-    calls that release the interpreter lock, between Python steps that
-    hold it, and on a small grid the two threads mostly wait for the lock.
-    Split over serial time per call, parallel scans with 180 views, q=12
-    to the full view set (2-vCPU x86, NumPy 2.4): 0.91-1.22 at 80x80,
-    0.79-1.06 at 96x96, 0.72-0.91 at 112x112 and 0.63-0.82 at 128x128;
-    1.16-1.25 at 64x64 with all views, though its lighter part holds as
-    many member-pixels as 128x128 at q=45 (0.66). The toy scan, 32x32,
-    never splits. Scatter loops stay serial: `np.bincount` holds the lock
-    for most of its time, and a split backprojector `applyT` ran at
-    0.93-1.07x the serial time at 128x128. A split `rows_to_image` of an
+    caller runs part 0, when the process may use two cores (`_WORKERS`),
+    both parts have members, and the grid has at least `_SPLIT_PIXELS`
+    pixels. Each member's gather is a few NumPy calls that release the
+    interpreter lock, between Python steps that hold it; on a small grid
+    the threads mostly wait for the lock. Split over serial time per call,
+    parallel scans with 180 views, q=12 to the full view set (2-vCPU x86,
+    NumPy 2.4): 0.91-1.22 at 80x80, 0.79-1.06 at 96x96, 0.72-0.91 at
+    112x112 and 0.63-0.82 at 128x128. The measure is one member's work,
+    not the call's: 64x64 with all views ran at 1.16-1.25, though its
+    lighter part holds as many member-pixels as 128x128 at q=45 (0.66).
+    A split `rows_to_image` of an
     admitted core looks up every table in the caller before the parts
-    start, so each is built once, in orbit order. An unadmitted core builds
-    its tables inside the part that uses them, so in `rows_to_image` both
-    parts build each orbit's table; the full-view backprojector at 256x256
-    (fan-1024 scaled) still ran at 0.74x the serial time.
-
+    start, so each is built once. An unadmitted core builds its tables in
+    the part that uses them, so in `rows_to_image` both parts build every
+    orbit's table; at 256x256 (fan-1024 scaled, full view set) that still
+    ran at 0.74x the serial time for the backprojector and 0.86-0.98x for
+    the projector's transpose, which derives each transpose twice too.
     A pool task never submits to the pool, so concurrent callers cannot
-    deadlock. It holds no reference to the core (`tables` is a partial of
-    module-level functions), so a dropped operator is freed at once, as an
-    operator that its core referenced back would not be. It calls no
-    public function: the benchmark's tracer wraps those, and its span
-    stack is not thread-safe.
+    deadlock. It holds no reference to the core (its tables are partials of
+    module-level functions), so a dropped operator is freed at once. It
+    calls no public function: the benchmark's tracer wraps those, and its
+    span stack is not thread-safe.
 
     A core is fused when it is admitted, its grid has fewer than
     `_SPLIT_PIXELS` pixels, and its orbit count times the measured bytes of
     its first representative's table is at most `_FUSE_BYTES`. A fused core
-    runs no member loop and never splits. Its image -> rows in the
-    projector gathers, for each turn code, every orbit's columns of
+    runs no member loop and never splits. The projector's image -> rows
+    gathers, for each turn code, every orbit's columns of
     `_fused_rows_table` from that code's turned image, then takes each
-    view's cells from the result, a mirrored view's reversed; columns a
-    code does not need are computed and dropped, a waste the limit keeps
-    small. Its other loops run once per orbit over `_fused_image_table`:
-    rows -> image (the backprojector, or the projector's transposes) takes
-    the orbit's members' rows into one stack, gathers all of them with one
-    index, and adds each member into its code's accumulator; the
-    backprojector's image -> rows scatters the orbit's members into that
-    stack with one `np.bincount` per tap. A member's rows land in bins no
-    other member touches, and NumPy's sums over the steps axis add in
-    sequence, so every output byte equals the member loops'. One call
-    gathering all members at once would be fewer steps, but its
-    temporaries of several hundred KiB made it slower here than these
-    loops (the toy backprojector's full view set in a prototype: 0.23
-    against 0.13 ms per call).
-    The fused tables are kept in `_STORE` under the geometry and the
-    orbit representatives, so every toy subset, which has the same eight,
-    shares one of each, and an equal operator builds none. They are built
-    from the kept representatives' tables where the store holds them, and
-    otherwise from tables built and dropped.
+    view's cells, a mirrored view's reversed; columns a code does not need
+    are computed and dropped, a waste the limit keeps small. The other
+    loops run once per orbit: rows -> image gathers the orbit's members'
+    rows, stacked, with one index (`_fused_image_table`) and adds each
+    member into its code's accumulator; the backprojector's image -> rows
+    runs `_gather_runs` on the members' turned images as rows of one array.
+    Sums over the steps axis and `np.add.reduceat` along a row add as they
+    do for one member, so every output byte equals the member loops'. The
+    fused tables are kept in `_STORE` under the geometry and the orbit
+    representatives, so the toy subsets, which share their eight, share one
+    of each. They are built from the kept representatives' tables where
+    the store holds them, else from tables built and dropped.
 
     The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
     at construction from the measured bytes of its first representative's
-    table, and for the projector of that table's transpose too, derived and
-    dropped. The store keeps that measure per geometry, so an equal
-    operator builds nothing to judge, and keeps the table itself only for
-    an admitted core. An admitted core keeps its tables in `_STORE`, where
-    a projector core also keeps their transposes the first time
-    `rows_to_image` runs. Any other core rebuilds its tables per call, and
-    a projector core scatters through them in `rows_to_image`: deriving
-    the transposes on each call takes about twice as long as that scatter
-    at 256x256 with 45 parallel views, and as long at 512x512 with 64 fan
-    views.
+    table, and for the projector of its transpose too. The store keeps that
+    measure per geometry, so an equal operator builds nothing to judge. An
+    admitted core keeps its tables in `_STORE`, and a projector core their
+    transposes; any other core rebuilds both per call. The backprojector's
+    `_runs_by_cell` tables are derived per call and kept only in fused
+    cores, where they are small, so admission never counts them: at
+    `fan-1024` with q=64 the backprojector is admitted with 59.4 of its
+    64 MiB, and deriving the cell order costs about as much as building the
+    table (0.97 against 0.83 ms per orbit at 256x256).
     """
 
     def __init__(self, geom, subset, build, to_image: bool):
@@ -511,7 +486,7 @@ class _OrbitCore:
 
         def measure() -> int:
             first = build(geom, rep)
-            size = _nbytes(first) + (0 if to_image else _nbytes(self._derive_transpose(first)))
+            size = _nbytes(first) + (0 if to_image else _nbytes(_ray_transpose(geom, first)))
             if self._admits(size):
                 _STORE.put((build, self._fingerprint, rep), first)
             return size
@@ -520,6 +495,15 @@ class _OrbitCore:
         self.admitted = self._admits(size)
         self.tables = (partial(_stored_table, build, geom, self._fingerprint) if self.admitted
                        else partial(build, geom))
+        # (kernel, tables) of each loop; the tables of a loop against the
+        # table's direction are its transposes.
+        if to_image:
+            runs = partial(_derived, partial(_runs_by_cell, geom), self.tables, None)
+            self._rows_loop, self._image_loop = (_gather_runs, runs), (_gather, self.tables)
+        else:
+            key = ((build, _ray_transpose), self._fingerprint) if self.admitted else None
+            transposes = partial(_derived, partial(_ray_transpose, geom), self.tables, key)
+            self._rows_loop, self._image_loop = (_gather, self.tables), (_gather, transposes)
         self.fused = (self.admitted and geom.grid[0] * geom.grid[1] < _SPLIT_PIXELS
                       and len(self.orbits) * size <= _FUSE_BYTES)
 
@@ -561,20 +545,11 @@ class _OrbitCore:
             self._fused_key = (self._fingerprint, tuple(rep for rep, _, _ in self.orbits))
 
         big = _WORKERS > 1 and geom.grid[0] * geom.grid[1] >= _SPLIT_PIXELS
-        self._split_rows = big and not to_image and all(self._rows_work[1])
-        self._split_image = big and (to_image or self.admitted) and all(parts)
+        self._split_rows = big and all(self._rows_work[1])
+        self._split_image = big and all(parts)
 
     def _admits(self, size: int) -> bool:
         return 1.1 * len(self.orbits) * size <= _CACHE_LIMIT_BYTES
-
-    def _derive_transpose(self, table) -> list:
-        grid = self.geom.grid
-        return _transposed(table, grid[0] * grid[1], self.geom.n_det, _image_pad(grid))
-
-    def transposed_tables(self, view: int):
-        """The projector's table of `view` transposed (`_transposed`), derived once."""
-        return _STORE.get(((self._build, _transposed), self._fingerprint, view),
-                          lambda: self._derive_transpose(self.tables(view)))
 
     def _table(self, view: int):
         """The table of `view`, the kept one if the store holds it, else built unkept."""
@@ -588,8 +563,8 @@ class _OrbitCore:
         if self._to_image:
             kind, table_of = (self._build, _fused_image_table), self._table
         else:
-            kind = (self._build, _transposed, _fused_image_table)
-            table_of = lambda rep: self._derive_transpose(self._table(rep))  # noqa: E731
+            kind = (self._build, _ray_transpose, _fused_image_table)
+            table_of = lambda rep: _ray_transpose(self.geom, self._table(rep))  # noqa: E731
 
         def make():
             sizes = {rep: len(positions)
@@ -626,53 +601,44 @@ class _OrbitCore:
                 vals.sum(axis=0, out=res[k, first:stop])
         return res.take(self._rows_map)
 
-    def _fused_backproject_t(self, x) -> np.ndarray:
+    def _fused_backproject_runs(self, srcs, out) -> None:
         """image -> rows of a fused backprojector core: per orbit, one
-        bincount per tap over all its members (`_fused_image_table`)."""
-        q1, n = self.rows_shape
-        width = n + 2
-        srcs = np.stack([_turned(x, code).ravel() for code in self._codes])
-        tables = self._fused_image_tables()
-        rows = np.zeros(self._fused_sel.size * width)
-        for r, (start, stop, slots) in enumerate(self._fused_work):
-            idx, *weights = tables[r]
-            flat = idx[:stop - start].ravel()
-            vals = srcs[slots]
-            for k, w in enumerate(weights):
-                dst = rows[start * width + k:stop * width]
-                dst += np.bincount(flat, (w * vals).ravel(), minlength=dst.size)
-        out = np.zeros((2, q1, width))
-        out.reshape(2 * q1, width)[self._fused_sel] = rows.reshape(-1, width)
-        plain, mirrored = out
-        return plain[:, 1:n + 1] + mirrored[:, ::-1][:, 1:n + 1]
+        `_gather_runs` over its members' turned images as rows."""
+        stack = np.stack([srcs[code] for code in self._codes])
+        # Derived from the fused gather tables, whose first member reads the
+        # representative's own table, so no table is built twice.
+        tables = _STORE.get(((self._build, _runs_by_cell), *self._fused_key),
+                            lambda: [_runs_by_cell(self.geom, [(..., idx[0], 1, *weights)])
+                                     for idx, *weights in self._fused_image_tables()])
+        rows = np.zeros((self._fused_sel.size, self.rows_shape[1]))
+        for (start, stop, slots), table in zip(self._fused_work, tables):
+            _gather_runs(stack[slots], table, rows[start:stop])
+        out.reshape(-1, rows.shape[1])[self._fused_sel] = rows
 
     def image_to_rows(self, x) -> np.ndarray:
         x = _checked(x, self.geom.grid, "image")
-        if self.fused:
-            return self._fused_backproject_t(x) if self._to_image else self._fused_project(x)
-        scatter = self._to_image
-        pad = 0 if scatter else _image_pad(self.geom.grid)
-        q1, n = self.rows_shape
+        if self.fused and not self._to_image:
+            return self._fused_project(x)
         # Mirrored views fill their own rows unreversed, flipped once at the
-        # end: adding into reversed row views is slower. A scattered row has
-        # one zero of padding at each end.
-        out = np.zeros((2, q1, n + 2 * scatter))
+        # end: adding into reversed row views is slower.
+        out = np.zeros((2, *self.rows_shape))
+        pad = _image_pad(self.geom.grid)
         srcs = {code: _flat(_turned(x, code), pad) for code in self._codes}
-        _orbit_loop(_scatter if scatter else _gather, self.tables, self._rows_work, srcs, out,
-                    self._split_rows)
+        if self.fused:
+            self._fused_backproject_runs(srcs, out)
+        else:
+            _orbit_loop(*self._rows_loop, self._rows_work, srcs, out, self._split_rows)
         plain, mirrored = out
-        row = slice(int(scatter), int(scatter) + n)
-        return plain[:, row] + mirrored[:, ::-1][:, row]
+        return plain + mirrored[:, ::-1]
 
     def rows_to_image(self, y) -> np.ndarray:
         y = _checked(y, self.rows_shape, "sinogram")
         grid = self.geom.grid
         m = grid[0] * grid[1]
-        gather = self._to_image or self.admitted
-        pad = 0 if gather else _image_pad(grid)
-        # The rows, then the mirrored views' rows reversed, each contiguous.
-        rows = np.zeros((2, y.shape[0], y.shape[1] + 2 * gather))
-        rows[0, :, int(gather):int(gather) + y.shape[1]] = y
+        # The rows, then the mirrored views' rows reversed, each contiguous
+        # and with one zero at each end.
+        rows = np.zeros((2, y.shape[0], y.shape[1] + 2))
+        rows[0, :, 1:-1] = y
         rows[1] = rows[0, :, ::-1]
         if self.fused:
             # Per orbit, one gather from its members' rows; each member adds
@@ -693,20 +659,14 @@ class _OrbitCore:
                 acc[slots] += vals
             accs = dict(zip(self._codes, acc))
         else:
-            tables = self.tables if self._to_image or not gather else self.transposed_tables
+            kernel, tables = self._image_loop
             if self._split_image and self.admitted:
                 tables = {rep: tables(rep) for rep, _ in self._image_work[0]}.__getitem__
-            accs = {code: np.zeros(m + 2 * pad) for code in self._codes}
-            _orbit_loop(_gather if gather else _scatter, tables, self._image_work, rows, accs,
-                        self._split_image)
-        images = {code: acc[pad:pad + m].reshape(grid) for code, acc in accs.items()}
-        out = images.pop(0, None)
-        if out is None:
-            out = np.zeros(grid)
-        elif pad:
-            out = out.copy()  # not a view into the padded accumulator
-        for code, img in images.items():
-            out += _unturned(img, code)
+            accs = {code: np.zeros(m) for code in self._codes}
+            _orbit_loop(kernel, tables, self._image_work, rows, accs, self._split_image)
+        out = accs.pop(0, np.zeros(m)).reshape(grid)
+        for code, acc in accs.items():
+            out += _unturned(acc.reshape(grid), code)
         return out
 
 
@@ -823,6 +783,48 @@ def _ray_tables(geom: ScanGeometry, view: int) -> list:
         idx = _first_tap(lin0, lin1, w1, stride) + _image_pad(geom.grid)
         groups.append((cells, idx, stride, w0, w1))
     return groups
+
+
+def _ray_transpose(geom: ScanGeometry, groups) -> list:
+    """The table of the transpose of the projector's table `groups`.
+
+    It is one group over all pixels (cells `...`), with stride 1 and
+    (n_pixels,) arrays into the detector row padded by one zero at each
+    end: pixel p reads w_k[p] * row[idx[p] + k] over k < K. idx[p] - 1 is
+    the first cell that meets the pixel, moved down where the K cells would
+    pass the row's end, and K is the widest span of cells that meet one
+    pixel. A ray meets a pixel at most once, at the step of the pixel's
+    plane and through one of its two taps. At one step, the minor
+    coordinate of a group's rays is monotone in the cell, since they are
+    parallel or spread from one source, so the entries of one tap with a
+    nonzero weight on a pixel are one run, and a pixel's first cell is the
+    least of its runs' first cells.
+    """
+    n_pixels, n_cells = geom.grid[0] * geom.grid[1], geom.n_det
+    lo = np.full(n_pixels, n_cells)
+    entries = []
+    for cells, idx, stride, w0, w1 in groups:
+        cell = np.empty(idx.shape, dtype=np.int64)
+        cell[:] = np.arange(n_cells)[cells]
+        for k, w in enumerate((w0, w1)):
+            valid = w != 0
+            pix = np.where(valid, idx + (k * stride - _image_pad(geom.grid)), -1)
+            start = valid.copy()
+            start[:, 1:] &= pix[:, 1:] != pix[:, :-1]
+            at = np.flatnonzero(start)
+            first = np.full(n_pixels, n_cells)
+            first[pix.take(at)] = cell.take(at)
+            np.minimum(lo, first, out=lo)
+            at = np.flatnonzero(valid)
+            entries.append((pix.take(at), cell.take(at), w.take(at)))
+    offsets = [cell - lo.take(pix) for pix, cell, _ in entries]
+    span = max([int(d.max()) + 1 for d in offsets if d.size] + [1])
+    j0 = np.clip(lo, 0, n_cells - span)
+    shift, w = lo - j0, np.zeros((span, n_pixels))
+    for (pix, _, wt), d in zip(entries, offsets):
+        d += shift.take(pix)
+        w.reshape(-1)[d * n_pixels + pix] = wt
+    return [(..., j0 + 1, 1, *w)]
 
 
 class JosephProjector:

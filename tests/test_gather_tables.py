@@ -1,6 +1,7 @@
 """The stored layout of the projector's and backprojector's tables: one
 index per tap, only the rays that cross the grid, and a transposed table
-that makes the projector's transpose a gather. Several tests count what the
+that makes the projector's transpose a gather, built from the table's runs
+and equal to a plain reference derivation. Several tests count what the
 process-wide table store holds, so the file also runs alone."""
 
 import numpy as np
@@ -19,12 +20,45 @@ from sparsect.projector import (
     _joseph_tables,
     _nbytes,
     _ray_tables,
-    _transposed,
+    _ray_transpose,
     _view_rays,
     view_orbits,
 )
 
 from conftest import MIRROR_CASES, fista_tv_geometry, mirror_case, recon_mid_geometry
+
+
+def _transposed(groups, n_pixels: int, n_cells: int, pad: int) -> list:
+    """Reference for `_ray_transpose`: the same table, derived entry by entry.
+
+    Every nonzero weight of `groups` is one (pixel, cell, weight) entry.
+    Each pixel's first and last cells are the least and greatest over its
+    entries, whatever their order, and each entry is written at its cell's
+    offset from the pixel's first cell.
+    """
+    parts = []
+    for cells, idx, stride, w0, w1 in groups:
+        ray = np.arange(n_cells)[cells]
+        for shift, w in ((-pad, w0), (stride - pad, w1)):
+            step, col = np.nonzero(w)
+            parts.append((idx[step, col] + shift, ray[col], w[step, col]))
+    lo = np.full(n_pixels, n_cells)
+    hi = np.full(n_pixels, -1)
+    for pix, cell, _ in parts:
+        np.minimum.at(lo, pix, cell)
+        np.maximum.at(hi, pix, cell)
+    span = max(int((hi - lo).max()) + 1, 1)
+    j0 = np.clip(lo, 0, n_cells - span)
+    w = np.zeros((span, n_pixels))
+    for pix, cell, wt in parts:
+        w[cell - j0[pix], pix] = wt
+    return [(..., j0 + 1, 1, *w)]
+
+
+def reference_transpose(geom, view):
+    """`_transposed` of the projector's table of `view`."""
+    m = geom.grid[0] * geom.grid[1]
+    return _transposed(_ray_tables(geom, view), m, geom.n_det, _image_pad(geom.grid))
 
 
 def full_columns(geom, view):
@@ -161,21 +195,54 @@ def test_fista_tv_transpose_gathers_and_second_call_builds_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["fista-tv-q45", "recon-mid-q32", "toy"])
-def test_unadmitted_transpose_scatters_to_the_same_image(case, monkeypatch):
+def test_unadmitted_transpose_gathers_the_adjoint(case, monkeypatch):
+    """A core that keeps no table derives each transpose per call and
+    gathers through it."""
     geom, sub = mirror_case(case)
-    rng = np.random.default_rng(22)
-    y = rng.standard_normal((len(JosephProjector(geom, sub).subset.indices), geom.n_det))
-    gathered = JosephProjector(geom, sub).applyT(y)
     monkeypatch.setattr(projector_module, "_CACHE_LIMIT_BYTES", 0)
     unkept = JosephProjector(geom, sub)
     assert not unkept._core.admitted
-    scattered = unkept.applyT(y)
-    assert np.abs(gathered - scattered).max() <= 1e-12 * np.abs(scattered).max()
+    rng = np.random.default_rng(22)
+    x, y = rng.standard_normal(geom.grid), rng.standard_normal(unkept.out_shape)
+    lhs, rhs = float((unkept.apply(x) * y).sum()), float((x * unkept.applyT(y)).sum())
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    assert transposed_keys() == []
+
+
+TRANSPOSE_CASES = {
+    "recon-mid": recon_mid_geometry,
+    "fista-tv": fista_tv_geometry,
+    "toy": lambda: mirror_case("toy")[0],
+    "fan-odd-n_det": lambda: mirror_case("fan-odd-n_det")[0],
+    "parallel-odd-n_det": lambda: mirror_case("parallel-odd-n_det")[0],
+    "wide-fan": wide_fan,
+    "nonsquare-fan": lambda: make_geometry("fan", n_views=40, n_det=81, det_spacing=1.5,
+                                           grid=(40, 33), pixel_size=1.0, src_dist=80.0,
+                                           det_dist=60.0),
+    "nonsquare-parallel": lambda: make_geometry("parallel", n_views=30, n_det=61,
+                                                det_spacing=1.0, grid=(27, 40), pixel_size=1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSPOSE_CASES))
+def test_transpose_from_runs_equals_the_reference(case):
+    """`_ray_transpose` on every representative view gives `_transposed`'s
+    table byte for byte: the same index, the same number of weight arrays
+    and the same weights."""
+    geom = TRANSPOSE_CASES[case]()
+    for view in representatives(geom):
+        [(cells, idx, stride, *weights)] = _ray_transpose(geom, _ray_tables(geom, view))
+        [(ref_cells, ref_idx, ref_stride, *ref_weights)] = reference_transpose(geom, view)
+        assert (cells, stride) == (ref_cells, ref_stride)
+        assert idx.dtype == ref_idx.dtype and idx.tobytes() == ref_idx.tobytes()
+        assert len(weights) == len(ref_weights)
+        for w, ref in zip(weights, ref_weights):
+            assert w.dtype == ref.dtype and w.tobytes() == ref.tobytes()
 
 
 def transposed_keys():
     return [key for key in _STORE.entries
-            if isinstance(key[0], tuple) and _transposed in key[0]]
+            if isinstance(key[0], tuple) and _ray_transpose in key[0]]
 
 
 def test_recon_mid_forward_stores_no_transposed_table():

@@ -1,9 +1,9 @@
 """Properties every operator on the projector's tap-table core shares: one
-subset check, no reference cycles, the cache admission rule, outputs that do
-not depend on it, one process-wide table store, a gather whose transpose
-is the scatter, and orbit loops whose split into two threads, or fusion
-into one step per turn code or orbit on small grids, changes no output
-byte."""
+subset check, no reference cycles, the cache admission rule, one
+process-wide table store, gathers through each table's transpose that are
+its adjoint, and outputs that no setting of the core changes: kept or
+rebuilt tables, orbit loops split into two threads, or fused into one step
+per turn code or orbit on small grids, give the same bytes."""
 
 import gc
 import os
@@ -26,11 +26,12 @@ from sparsect.projector import (
     _STORE,
     JosephProjector,
     _gather,
+    _gather_runs,
     _image_pad,
     _ray_tables,
-    _scatter,
+    _ray_transpose,
+    _runs_by_cell,
     _Store,
-    _transposed,
     _turned,
     _unturned,
 )
@@ -132,60 +133,39 @@ class TestCacheAdmission:
                 PixelBackprojector(geom, sub)._core.admitted) == admitted
 
 
-@pytest.mark.parametrize("make, q", [
-    (toy_geometry, 15), (toy_geometry, None), (recon_mid_geometry, 32), (fista_tv_geometry, 45),
-], ids=["toy-q15", "toy-full", "recon-mid-q32", "fista-tv-q45"])
-def test_admission_changes_no_output_but_the_projector_transpose(make, q, monkeypatch):
-    """Kept and rebuilt tables give byte-identical outputs; only the
-    projector's transpose sums in another order where it scatters."""
-    geom = make()
-    sub = None if q is None else sparse_subset(geom, q)
-    rng = np.random.default_rng(24)
-    x = rng.standard_normal(geom.grid)
-    y = rng.standard_normal((JosephProjector(geom, sub).subset.q1, geom.n_det))
-
-    def outputs(admitted):
-        _STORE.clear()
-        proj, bp = JosephProjector(geom, sub), PixelBackprojector(geom, sub)
-        op = FbpOperator(geom, sub)
-        assert proj._core.admitted == bp._core.admitted == admitted
-        return ([proj.apply(x), bp.apply(y), bp.applyT(x), op.apply(y), op.applyT(x)],
-                proj.applyT(y))
-
-    kept, kept_t = outputs(True)
-    monkeypatch.setattr(projector_module, "_CACHE_LIMIT_BYTES", 0)
-    rebuilt, rebuilt_t = outputs(False)
-    assert [a.tobytes() for a in kept] == [b.tobytes() for b in rebuilt]
-    assert np.abs(kept_t - rebuilt_t).max() <= 1e-12 * np.abs(rebuilt_t).max()
-
-
 def tap_table(kind):
-    """(table, source size, output size) of one table of each kind the core runs."""
+    """(geometry, table) of one table of each kind the core runs."""
     geom = {"joseph-slice-cells": toy_geometry, "wide-fan-index-cells": wide_fan}.get(
         kind, recon_mid_geometry)()
-    m, pad = geom.grid[0] * geom.grid[1], _image_pad(geom.grid)
     if kind == "backprojector":
-        return fbp_module._pixel_table(geom, 5), geom.n_det + 2, m
+        return geom, fbp_module._pixel_table(geom, 5)
     if kind == "transpose-k3":
-        table = next(t for t in (_transposed(_ray_tables(geom, v), m, geom.n_det, pad)
-                                 for v in representatives(geom)) if len(t[0]) - 3 == 3)
-        return table, geom.n_det + 2, m
+        return geom, next(t for t in (_ray_transpose(geom, _ray_tables(geom, v))
+                                      for v in representatives(geom)) if len(t[0]) - 3 == 3)
     slice_cells = kind == "joseph-slice-cells"
-    table = next(t for t in (_ray_tables(geom, v) for v in representatives(geom))
-                 if all(isinstance(group[0], slice) for group in t) == slice_cells)
-    return table, m + 2 * pad, geom.n_det
+    return geom, next(t for t in (_ray_tables(geom, v) for v in representatives(geom))
+                      if all(isinstance(group[0], slice) for group in t) == slice_cells)
 
 
 @pytest.mark.parametrize("kind", ["joseph-slice-cells", "wide-fan-index-cells", "backprojector",
                                   "transpose-k3"])
-def test_scatter_is_the_transpose_of_gather(kind):
-    table, n_src, n_out = tap_table(kind)
+def test_transposed_gather_is_the_adjoint_of_gather(kind):
+    """Each table's transpose gathers too: a projector table through
+    `_ray_transpose`, a table in pixel form (cells `...`) through the cell
+    runs of `_runs_by_cell`. Each reads a source with zeros at each end."""
+    geom, table = tap_table(kind)
+    m, pad, n = geom.grid[0] * geom.grid[1], _image_pad(geom.grid), geom.n_det
     rng = np.random.default_rng(25)
-    s, v = rng.standard_normal(n_src), rng.standard_normal(n_out)
-    gathered, scattered = np.zeros(n_out), np.zeros(n_src)
-    _gather(s, table, gathered)
-    _scatter(v, table, scattered)
-    lhs, rhs = float(gathered @ v), float(s @ scattered)
+    image, row = np.zeros(m + 2 * pad), np.zeros(n + 2)
+    image[pad:-pad], row[1:-1] = rng.standard_normal(m), rng.standard_normal(n)
+    to_rows, to_image = np.zeros(n), np.zeros(m)
+    if table[0][0] is ...:
+        _gather(row, table, to_image)
+        _gather_runs(image, _runs_by_cell(geom, table), to_rows)
+    else:
+        _gather(image, table, to_rows)
+        _gather(row, _ray_transpose(geom, table), to_image)
+    lhs, rhs = float(to_rows @ row[1:-1]), float(image[pad:-pad] @ to_image)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -211,11 +191,11 @@ class TestTableStore:
                 return fn(*args)
             return wrapped
 
-        for name in ("_ray_tables", "_transposed"):
+        for name in ("_ray_tables", "_ray_transpose"):
             monkeypatch.setattr(projector_module, name, counted(getattr(projector_module, name)))
         geom = geometry_preset("fan-1024")
         assert not JosephProjector(geom, sparse_subset(geom, 64))._core.admitted
-        assert calls == ["_ray_tables", "_transposed"]
+        assert calls == ["_ray_tables", "_ray_transpose"]
         calls.clear()
         twin = geometry_preset("fan-1024")
         assert not JosephProjector(twin, sparse_subset(twin, 64))._core.admitted
@@ -368,9 +348,52 @@ def test_split_and_serial_loops_give_identical_bytes(case, limit, two_workers, m
     assert not any(any(f) for f in serial_flags)
     proj, bp, _ = split_flags_on
     assert proj[0]  # the projector's apply splits its orbits
-    assert bp[0] is False  # the backprojector's applyT scatters, serially
+    assert bp[0]  # so does the backprojector's applyT
     # rows -> image splits the turn codes: one code gives one empty part
     assert bp[1] == (geom.grid[0] == geom.grid[1])
+
+
+SETTING_CASES = {
+    "toy-q15": (toy_geometry, 15),
+    "toy-full": (toy_geometry, None),
+    "recon-mid-q32": (recon_mid_geometry, 32),
+    "fista-tv-q45": (fista_tv_geometry, 45),
+    "nonsquare-fan-q10": (nonsquare_fan, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETTING_CASES))
+def test_no_setting_changes_an_operator_output(case, two_workers, monkeypatch):
+    """apply and applyT of the projector, the backprojector and FbpOperator
+    give the same bytes with the store's budget at 0 (every table rebuilt
+    per call), the default and 4 GiB, the split constant at 0 and above
+    every grid, and the fusion limit at 0 and the default."""
+    make, q = SETTING_CASES[case]
+    geom = make()
+    sub = None if q is None else sparse_subset(geom, q)
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal(geom.grid)
+    y = rng.standard_normal((JosephProjector(geom, sub).subset.q1, geom.n_det))
+    defaults = {name: getattr(projector_module, name)
+                for name in ("_CACHE_LIMIT_BYTES", "_SPLIT_PIXELS", "_FUSE_BYTES")}
+    outputs = {}
+    for limit in (0, defaults["_CACHE_LIMIT_BYTES"], 2**32):
+        for split_pixels in (0, 10**12):
+            for fuse_bytes in (0, defaults["_FUSE_BYTES"]):
+                for name, value in zip(defaults, (limit, split_pixels, fuse_bytes)):
+                    monkeypatch.setattr(projector_module, name, value)
+                _STORE.clear()
+                ops = [JosephProjector(geom, sub), PixelBackprojector(geom, sub),
+                       FbpOperator(geom, sub)]
+                assert all(core.admitted == (limit > 0)
+                           for core in (ops[0]._core, ops[1]._core, ops[2]._bp._core))
+                got = []
+                for op in ops:
+                    image_in = isinstance(op, JosephProjector)
+                    got += [op.apply(x if image_in else y), op.applyT(y if image_in else x)]
+                outputs[limit, split_pixels, fuse_bytes] = [a.tobytes() for a in got]
+    first = next(iter(outputs.values()))
+    assert all(got == first for got in outputs.values())
 
 
 @pytest.mark.parametrize("limit", ["default", 0])
