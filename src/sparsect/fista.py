@@ -175,6 +175,10 @@ def tune_lambda(
     """Pick the TV weight maximizing mean PSNR on (sinogram, reference) pairs."""
     if len(sinograms) != len(references):
         raise ValueError("need one reference per sinogram")
+    if not sinograms:
+        raise ValueError("need at least one (sinogram, reference) pair to score a TV weight")
+    if not lambdas:
+        raise ValueError("need at least one TV weight to choose from")
     table: dict[float, float] = {}
     for lam in lambdas:
         scores = [

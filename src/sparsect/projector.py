@@ -38,8 +38,9 @@ geometry's first table, which decide admission.
 On grids of at least `_SPLIT_PIXELS` pixels an orbit loop runs half its
 work on the one worker of a module-level thread pool. On smaller grids a
 kept core whose tables fit `_FUSE_BYTES` (every core of the toy scan) runs
-fused loops over tables laid out for all members at once. Either way the
-outputs are byte-identical to the serial member loops' (`_OrbitCore`).
+fused loops, one gather for all members of an orbit, or for all orbits of
+a turn code. Either way the outputs are byte-identical to the serial
+member loops' (`_OrbitCore`).
 """
 
 from __future__ import annotations
@@ -327,12 +328,6 @@ def _orbit_loop(kernel, tables, work, src, dst, split: bool) -> None:
         future.result()
 
 
-def _full_orbits(geom, fingerprint: str) -> list:
-    """`view_orbits` of the full view set, kept in `_STORE` per geometry."""
-    return _STORE.get((view_orbits, fingerprint),
-                      lambda: view_orbits(geom, np.arange(geom.n_views_full)))
-
-
 def _fused_rows_table(table_of, n_det: int, reps) -> tuple:
     """The projector's tables `table_of(rep)` of the representatives
     `reps`, side by side.
@@ -364,23 +359,6 @@ def _fused_rows_table(table_of, n_det: int, reps) -> tuple:
                        side_by_side([g[4] for _, g in parts]), first, stop))
     columns[columns < 0] = stop
     return groups, columns, stop + 1
-
-
-def _fused_image_table(table_of, width: int, orbits) -> list:
-    """Per (rep, size) of `orbits`, the table `table_of(rep)` for `size` members.
-
-    `table_of(rep)` is a one-group table over all pixels (cells `...`,
-    stride 1) into a detector row of `width` samples, one zero at each
-    end. Each entry (idx, w_0, ..., w_K-1) keeps the orbit's weights once,
-    and a (size, n_pixels) idx whose row j reads row j of a stack of such
-    rows: pixel p of member j reads w_k[p] times entry idx[j, p] + k of
-    the flattened stack; row 0 is the representative's own index.
-    """
-    fused = []
-    for rep, size in orbits:
-        [(_, idx, _, *weights)] = table_of(rep)
-        fused.append((idx + width * np.arange(size)[:, None], *weights))
-    return fused
 
 
 def _split_codes(orbits) -> tuple[set, set]:
@@ -450,16 +428,20 @@ class _OrbitCore:
     `_fused_rows_table` from that code's turned image, then takes each
     view's cells, a mirrored view's reversed; columns a code does not need
     are computed and dropped, a waste the limit keeps small. The other
-    loops run once per orbit: rows -> image gathers the orbit's members'
-    rows, stacked, with one index (`_fused_image_table`) and adds each
-    member into its code's accumulator; the backprojector's image -> rows
-    runs `_gather_runs` on the members' turned images as rows of one array.
+    loops run once per orbit, through the representative's own pixel-form
+    table (the backprojector's, or the projector's transpose): rows ->
+    image takes its index along each of the orbit's members' detector
+    rows, stacked as one array, and adds each member into its code's
+    accumulator; the backprojector's image -> rows runs `_gather_runs` of
+    its cell runs on the members' turned images as rows of one array.
     Sums over the steps axis and `np.add.reduceat` along a row add as they
     do for one member, so every output byte equals the member loops'. The
-    fused tables are kept in `_STORE` under the geometry and the orbit
-    representatives, so the toy subsets, which share their eight, share one
-    of each. They are built from the kept representatives' tables where
-    the store holds them, else from tables built and dropped.
+    side-by-side table, the list of pixel-form tables
+    (`_fused_image_tables`) and the list of cell runs are kept in `_STORE`
+    under the geometry and the orbit representatives, so the toy subsets,
+    which share their eight, share one of each. They are built from the
+    kept representatives' tables where the store holds them, else from
+    tables built and dropped.
 
     The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
     at construction from the measured bytes of its first representative's
@@ -557,22 +539,17 @@ class _OrbitCore:
         return self._build(self.geom, view) if table is None else table
 
     def _fused_image_tables(self) -> list:
-        """`_fused_image_table` of the backprojector's tables, or of the
-        projector's transposes, for this core's orbits, each sized to its
-        orbit in the full view set; kept per geometry and orbit set."""
+        """The pixel-form tables of this core's orbit representatives, in
+        orbit order: the backprojector's own, or the projector's transposes.
+        One list is kept per geometry and orbit set, under the kind of its
+        tables and the tuple of representatives."""
         if self._to_image:
-            kind, table_of = (self._build, _fused_image_table), self._table
+            kind, table_of = self._build, self._table
         else:
-            kind = (self._build, _ray_transpose, _fused_image_table)
+            kind = (self._build, _ray_transpose)
             table_of = lambda rep: _ray_transpose(self.geom, self._table(rep))  # noqa: E731
-
-        def make():
-            sizes = {rep: len(positions)
-                     for rep, positions, _ in _full_orbits(self.geom, self._fingerprint)}
-            return _fused_image_table(table_of, self.geom.n_det + 2,
-                                      [(rep, sizes[rep]) for rep, _, _ in self.orbits])
-
-        return _STORE.get((kind, *self._fused_key), make)
+        return _STORE.get((kind, *self._fused_key),
+                          lambda: [table_of(rep) for rep in self._fused_key[1]])
 
     def _fused_project(self, x) -> np.ndarray:
         """image -> rows of a fused projector core: per turn code, one
@@ -605,11 +582,11 @@ class _OrbitCore:
         """image -> rows of a fused backprojector core: per orbit, one
         `_gather_runs` over its members' turned images as rows."""
         stack = np.stack([srcs[code] for code in self._codes])
-        # Derived from the fused gather tables, whose first member reads the
-        # representative's own table, so no table is built twice.
+        # Derived from the tables that rows -> image reads, so no table is
+        # built twice.
         tables = _STORE.get(((self._build, _runs_by_cell), *self._fused_key),
-                            lambda: [_runs_by_cell(self.geom, [(..., idx[0], 1, *weights)])
-                                     for idx, *weights in self._fused_image_tables()])
+                            lambda: [_runs_by_cell(self.geom, table)
+                                     for table in self._fused_image_tables()])
         rows = np.zeros((self._fused_sel.size, self.rows_shape[1]))
         for (start, stop, slots), table in zip(self._fused_work, tables):
             _gather_runs(stack[slots], table, rows[start:stop])
@@ -641,19 +618,18 @@ class _OrbitCore:
         rows[0, :, 1:-1] = y
         rows[1] = rows[0, :, ::-1]
         if self.fused:
-            # Per orbit, one gather from its members' rows; each member adds
-            # into its code's accumulator, in orbit order as in the loops.
-            stack = rows.reshape(-1, rows.shape[2]).take(self._fused_sel, axis=0).ravel()
+            # Per orbit, one gather from its members' rows through the
+            # representative's table; each member adds into its code's
+            # accumulator, in orbit order as in the loops.
+            stack = rows.reshape(-1, rows.shape[2]).take(self._fused_sel, axis=0)
             acc = np.zeros((len(self._codes), m))
-            tables = self._fused_image_tables()
-            for r, (start, stop, slots) in enumerate(self._fused_work):
-                idx, *weights = tables[r]
-                src = stack[start * rows.shape[2]:]
-                idx = idx[:stop - start]
-                vals = src.take(idx)
+            for (start, stop, slots), [(_, idx, _, *weights)] in zip(
+                    self._fused_work, self._fused_image_tables()):
+                src = stack[start:stop]
+                vals = src.take(idx, axis=1)
                 vals *= weights[0]
                 for k, w in enumerate(weights[1:], 1):
-                    tap = src[k:].take(idx)
+                    tap = src[:, k:].take(idx, axis=1)
                     tap *= w
                     vals += tap
                 acc[slots] += vals

@@ -111,6 +111,10 @@ def count_projector_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("tune_lambda solved before checking its inputs")
+
+
 class TestTotalVariation:
     def test_hand_value(self):
         x = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -298,3 +302,14 @@ class TestTuneLambda:
         y, x = make_measurement(tiny_fan)
         with pytest.raises(ValueError):
             tune_lambda([y], [x, x], (0.1,))
+
+    def test_no_pairs_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(fista_module, "fista_tv", no_solve)
+        with pytest.raises(ValueError, match=r"at least one \(sinogram, reference\) pair"):
+            tune_lambda([], [], (0.01, 0.1))
+
+    def test_no_weights_rejected_before_any_solve(self, tiny_fan, monkeypatch):
+        y, x = make_measurement(tiny_fan)
+        monkeypatch.setattr(fista_module, "fista_tv", no_solve)
+        with pytest.raises(ValueError, match="at least one TV weight"):
+            tune_lambda([y], [x], ())

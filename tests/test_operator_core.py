@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -605,6 +606,16 @@ def test_toy_steps_keep_the_fused_tables_within_two_mib_more():
     assert _STORE.nbytes == sum(size for _, size in _STORE.entries.values())
 
 
+def test_toy_steps_keep_the_fused_tables_within_half_a_mib_more():
+    """The fused loops read the representatives' own tables: no table of
+    per-member offsets is kept beside them."""
+    model = toy_model(ToySpec(n_stages=2))
+    for q in (15, 30):
+        result = train_loop(model, toy_phantoms(2, 0), TrainConfig(steps=1, view_schedule=(q,)))
+        assert len(result.rows) == 1
+    assert _STORE.nbytes <= UNFUSED_TOY_STORE_BYTES + 2**19
+
+
 def test_equal_operators_build_no_fused_table(monkeypatch):
     built = []
 
@@ -614,7 +625,7 @@ def test_equal_operators_build_no_fused_table(monkeypatch):
             return fn(*args)
         return wrapped
 
-    for name in ("_fused_rows_table", "_fused_image_table"):
+    for name in ("_fused_rows_table", "_ray_transpose", "_runs_by_cell"):
         monkeypatch.setattr(projector_module, name, counted(getattr(projector_module, name)))
     rng = np.random.default_rng(31)
     x = rng.standard_normal(toy_geometry().grid)
@@ -630,11 +641,13 @@ def test_equal_operators_build_no_fused_table(monkeypatch):
         return [a.tobytes() for a in outs]
 
     first = run_all()
-    # The toy subsets share one orbit set, so one table of each kind serves
-    # all of them: the projector's, its transposes' and the backprojector's.
-    assert sorted(built) == ["_fused_image_table", "_fused_image_table", "_fused_rows_table"]
+    # The toy subsets share one orbit set, so one fused table of each kind
+    # serves all of them: the projector's side-by-side table, a transpose
+    # per representative (and one to measure the first for admission) and
+    # the backprojector's cell runs per representative.
+    assert Counter(built) == {"_fused_rows_table": 1, "_ray_transpose": 9, "_runs_by_cell": 8}
     assert run_all() == first
-    assert len(built) == 3
+    assert len(built) == 18
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
