@@ -16,14 +16,18 @@ Runs:
                           on the fan-1024 preset scaled to N x N, at q=64 and
                           on the full view set, on seeded random inputs: one
                           warm-up call, then the median of REPEAT calls each.
+  fista N                 one fista_tv solve (default config, lam 0.01) on
+                          the Shepp-Logan sinogram of the fan-1024 preset
+                          scaled to N x N, at q=64 views.
 
 Each invocation makes one run and prints one line: the run's settings,
 `wall_s` (the timed call only: `forward`, `apply_correction` or
-`train_loop`; building the model and its input, and for a training step
-registering its views, is reported apart as `setup_s`),
+`train_loop` or `fista_tv`; building the model and its input, and for a
+training step registering its views, is reported apart as `setup_s`),
 `peak_rss_mib` (the process's ru_maxrss, so run one row per process) and
 `hash` (the first 16 hex digits of the SHA-256 of the output: the image,
-or for a training step the updated parameters in name order). An
+or for a training step the updated parameters in name order, or for a
+FISTA solve the image and then its objective trace). An
 `operators` row gives, per call, its median `ms` and its output's `hash`
 under `calls`, and `wall_s` is the time of all its calls. Set PYTHONPATH
 to choose which source tree it measures.
@@ -40,13 +44,15 @@ import numpy as np
 from sparsect import autodiff as ad
 from sparsect.correction import CorrectionConfig, apply_correction, init_params
 from sparsect.fbp import FbpOperator
-from sparsect.geometry import Image, geometry_preset, scaled_preset, sparse_subset
+from sparsect.fista import fista_tv
+from sparsect.geometry import Image, Sinogram, geometry_preset, scaled_preset, sparse_subset
 from sparsect.model import ReconNet
 from sparsect.phantoms import random_ellipses, shepp_logan
 from sparsect.projector import JosephProjector, forward_project
 from sparsect.training import TrainConfig, train_loop
 
 WIDTH, DEPTH, VIEWS, VARIANT = 32, 5, 64, "g"
+FISTA_LAM = 0.01
 REPEAT = 3
 
 
@@ -130,6 +136,21 @@ def run_operators(args) -> dict:
     return {"setup_s": t1 - t0, "wall_s": t2 - t1, "calls": calls, "hash": _hash(outs)}
 
 
+def run_fista(args) -> dict:
+    n = args.n
+    t0 = time.perf_counter()
+    geom = scaled_preset("fan-1024", (n, n))
+    subset = sparse_subset(geom, VIEWS)
+    y = Sinogram(JosephProjector(geom, subset).apply(shepp_logan(geom.grid)), geom, subset)
+    t1 = time.perf_counter()
+    result = fista_tv(y, FISTA_LAM)
+    t2 = time.perf_counter()
+    image = result.image.data
+    return {"setup_s": t1 - t0, "wall_s": t2 - t1, "objective": result.objectives[-1],
+            "hash": _hash([image, np.array(result.objectives)]),
+            "finite": bool(np.isfinite(image).all())}
+
+
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -148,10 +169,12 @@ def main():
     p.add_argument("stages", type=_positive)
     p = sub.add_parser("operators", help="the tomographic operators at N x N, q=64 and full")
     p.add_argument("n", type=_positive)
+    p = sub.add_parser("fista", help="one FISTA-TV solve at N x N, q=64")
+    p.add_argument("n", type=_positive)
     args = ap.parse_args()
 
     runs = {"forward": run_forward, "correction": run_correction, "train-step": run_train_step,
-            "operators": run_operators}
+            "operators": run_operators, "fista": run_fista}
     row = {"run": args.run, **{k: v for k, v in vars(args).items() if k != "run"}}
     row.update(runs[args.run](args))
     row["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -4,10 +4,19 @@ Objective: 0.5*||A x - y||^2 + lam * TV(x), x >= 0. The TV proximal map
 uses Chambolle's dual fixed-point iteration with a fixed inner budget so
 runs are deterministic. The monotone variant keeps the best objective seen,
 so the recorded objective trace never increases.
+
+The TV terms work on flat (row-major) images: a row difference is the
+image minus itself shifted by one row (W pixels), a column difference the
+image minus itself shifted by one pixel, so each is one contiguous NumPy
+pass. The row differences' last row and the column differences' last
+column are held at +0, and so are the dual's: the shifted terms that fall
+past the last row or wrap from one row's end into the next row then add or
+subtract exact zeros, and each pixel gets the bytes of the 2-D slices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,6 +37,13 @@ class FistaConfig:
     nonneg: bool = True
     fbp_init: bool = True
 
+    def __post_init__(self):
+        for name, least in (("n_iters", 0), ("tv_iters", 0), ("power_iters", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+
 
 @dataclass
 class FistaResult:
@@ -36,67 +52,107 @@ class FistaResult:
     lipschitz: float = 0.0
 
 
-def _grad(x: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> None:
-    """Forward differences of x into gx, gy; their last row and column must hold 0."""
-    np.subtract(x[1:, :], x[:-1, :], out=gx[:-1, :])
-    np.subtract(x[:, 1:], x[:, :-1], out=gy[:, :-1])
+def _grad_into(x: np.ndarray, shape: tuple[int, int], g: np.ndarray):
+    """A step writing the forward differences of the flat image x (of 2-D
+    `shape`) into the flat rows of g. g[0]'s last row is never written and
+    must hold 0; g[1]'s last column, where the shift by one pixel pairs a
+    row's end with the next row's start, is reset to 0. The views are made
+    here, once."""
+    width = shape[1]
+    up, down, left, right = x[:-width], x[width:], x[:-1], x[1:]
+    gx, gy = g[0, :-width], g[1, :-1]
+    gy_last = g[1].reshape(shape)[:, -1:]
+
+    def grad() -> None:
+        np.subtract(down, up, out=gx)
+        np.subtract(right, left, out=gy)
+        gy_last[...] = 0.0
+
+    return grad
 
 
-def _div(px: np.ndarray, py: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Discrete divergence of (px, py), the negative adjoint of _grad, into out."""
-    out.fill(0.0)
-    out[:-1, :] += px[:-1, :]
-    out[1:, :] -= px[:-1, :]
-    out[:, :-1] += py[:, :-1]
-    out[:, 1:] -= py[:, :-1]
-    return out
+def _div_into(p: np.ndarray, shape: tuple[int, int], out: np.ndarray):
+    """A step writing the discrete divergence of the flat dual p, the
+    negative adjoint of `_grad_into`'s, into the flat out. With px's last
+    row and py's last column at +0, each pixel takes the 2-D form's steps
+    in its order: 0 + px - px(row above) + py - py(pixel left)."""
+    width = shape[1]
+    px, py = p[0, :-width], p[1, :-1]
+    up, down, left, right = out[:-width], out[width:], out[:-1], out[1:]
+    last_row = out[-width:]
+
+    def div() -> None:
+        last_row.fill(0.0)
+        np.add(0.0, px, out=up)
+        np.subtract(down, px, out=down)
+        np.add(left, py, out=left)
+        np.subtract(right, py, out=right)
+
+    return div
 
 
 def tv_value(x: np.ndarray) -> float:
-    gx = np.zeros_like(x)
-    gy = np.zeros_like(x)
-    _grad(x, gx, gy)
-    return float(np.sqrt(gx * gx + gy * gy).sum())
+    if abs(x.strides[0]) < abs(x.strides[1]):
+        # TV is unchanged by transposing, and the sum below then runs in
+        # x's memory order, as a sum over arrays laid out like x does.
+        x = x.T
+    g = np.zeros((2, x.size))
+    _grad_into(x.ravel(), x.shape, g)()
+    np.multiply(g, g, out=g)
+    np.add(g[0], g[1], out=g[0])
+    return float(np.sqrt(g[0], out=g[0]).sum())
 
 
 def tv_prox(b: np.ndarray, weight: float, n_iters: int = 20, tau: float = 0.125) -> np.ndarray:
     """argmin_x 0.5*||x-b||^2 + weight*TV(x), via the dual ascent of Chambolle.
 
-    The inner loop works in place on six preallocated buffers; each step is
-    px <- (px + tau*gx) / (1 + tau*|g|) with g = grad(div(p) - b/weight).
+    Each step is p <- (p + tau*g) / (1 + tau*|g|) with
+    g = grad(div(p) - b/weight), in place on seven preallocated flat
+    buffers, as many as the 2-D form used. The dual p = (px, py) and the
+    gradient g = (gx, gy) are each one (2, H*W) array: a difference is one
+    contiguous pass over slices shifted by W or by 1, and the dual update
+    one call over both components. gx's last row is never written and gy's
+    last column is reset after each gradient (H strided writes), so px's
+    last row and py's last column stay +0 and the shifted terms past an
+    edge are exact zeros: the output has the 2-D form's bytes, for any
+    memory layout of b.
     """
     if np.isnan(weight):
         raise ValueError("TV weight is NaN")
+    if weight == math.inf:
+        raise ValueError("TV weight is infinite")
     if weight <= 0:
         return b.copy()
-    b_w = b / weight
-    px = np.zeros_like(b)
-    py = np.zeros_like(b)
-    gx = np.zeros_like(b)
-    gy = np.zeros_like(b)
-    tmp = np.empty_like(b)
-    denom = np.empty_like(b)
+    b_w = np.divide(b, weight).ravel()
+    p = np.zeros((2, b.size))
+    g = np.zeros((2, b.size))
+    gx, gy = g
+    out = np.empty(b.shape)
+    tmp = out.reshape(-1)
+    denom = np.empty(b.size)
+    div, grad = _div_into(p, b.shape, tmp), _grad_into(tmp, b.shape, g)
     for _ in range(n_iters):
-        _div(px, py, tmp)
+        div()
         np.subtract(tmp, b_w, out=tmp)
-        _grad(tmp, gx, gy)
+        grad()
         np.multiply(gx, gx, out=denom)
         np.multiply(gy, gy, out=tmp)
         np.add(denom, tmp, out=denom)
         np.sqrt(denom, out=denom)
         np.multiply(tau, denom, out=denom)
         np.add(1.0, denom, out=denom)
-        for p, g in ((px, gx), (py, gy)):
-            np.multiply(tau, g, out=tmp)
-            np.add(p, tmp, out=p)
-            np.divide(p, denom, out=p)
-    _div(px, py, tmp)
+        np.multiply(tau, g, out=g)
+        np.add(p, g, out=p)
+        np.divide(p, denom, out=p)
+    div()
     np.multiply(weight, tmp, out=tmp)
-    return np.subtract(b, tmp, out=tmp)
+    return np.subtract(b, out, out=out)
 
 
 def estimate_lipschitz(proj: JosephProjector, n_iters: int = 20) -> float:
     """Largest eigenvalue of A^T A by seeded power iteration (data-term Lipschitz)."""
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     rng = np.random.default_rng(0)
     x = rng.standard_normal(proj.in_shape)
     x /= np.linalg.norm(x)
@@ -117,8 +173,8 @@ def fista_tv(y: Sinogram, lam: float, cfg: FistaConfig = FistaConfig()) -> Fista
     table store, so solves on one (geometry, subset) run the power
     iteration once, and their projector and FBP tables are shared there too.
     """
-    if not lam > 0:
-        raise ValueError(f"TV weight must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"TV weight must be positive and finite, got {lam}")
     proj = JosephProjector(y.geom, y.subset)
     data = y.data
 

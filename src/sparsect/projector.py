@@ -328,9 +328,9 @@ def _orbit_loop(kernel, tables, work, src, dst, split: bool) -> None:
         future.result()
 
 
-def _fused_rows_table(table_of, n_det: int, reps) -> tuple:
-    """The projector's tables `table_of(rep)` of the representatives
-    `reps`, side by side.
+def _fused_rows_table(tables, n_det: int) -> tuple:
+    """The projector's tables `tables` of the orbit representatives, side
+    by side.
 
     Returns (groups, columns, width). Each group (i0, i1, w0, w1, first, stop)
     holds (n_steps, n) arrays: column j adds src[i0] * w0 + src[i1] * w1
@@ -338,11 +338,10 @@ def _fused_rows_table(table_of, n_det: int, reps) -> tuple:
     result column first + j. Tables are grouped by step count, so a square
     grid has one group: with a group per stride, as `_gather` needs, the
     toy projector's `apply` took 90 against 58 us per call.
-    `columns[r, cell]` is the result column of the cell in the table of
-    reps[r], or the last of the `width` columns, which no group fills, for
-    a cell that no ray of the view reaches.
+    `columns[r, cell]` is the result column of the cell in tables[r], or
+    the last of the `width` columns, which no group fills, for a cell that
+    no ray of the view reaches.
     """
-    tables = [table_of(rep) for rep in reps]
     columns = np.full((len(tables), n_det), -1)
     groups, stop = [], 0
     for n_steps in sorted({group[1].shape[0] for table in tables for group in table}):
@@ -441,7 +440,9 @@ class _OrbitCore:
     under the geometry and the orbit representatives, so the toy subsets,
     which share their eight, share one of each. They are built from the
     kept representatives' tables where the store holds them, else from
-    tables built and dropped.
+    tables built and dropped. A projector core makes its side-by-side table
+    and its transposes together, from one list of those tables, so each
+    representative's table is built once.
 
     The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
     at construction from the measured bytes of its first representative's
@@ -544,21 +545,34 @@ class _OrbitCore:
         One list is kept per geometry and orbit set, under the kind of its
         tables and the tuple of representatives."""
         if self._to_image:
-            kind, table_of = self._build, self._table
-        else:
-            kind = (self._build, _ray_transpose)
-            table_of = lambda rep: _ray_transpose(self.geom, self._table(rep))  # noqa: E731
-        return _STORE.get((kind, *self._fused_key),
-                          lambda: [table_of(rep) for rep in self._fused_key[1]])
+            return _STORE.get((self._build, *self._fused_key),
+                              lambda: [self._table(rep) for rep in self._fused_key[1]])
+        return self._fused_projector_table(1)
+
+    def _fused_projector_table(self, kind: int):
+        """The side-by-side table (`kind` 0, `_fused_rows_table`) or the list
+        of transposes (`kind` 1) of a fused projector core, each kept as one
+        store entry. A miss makes both from one list of the representatives'
+        tables and keeps the other too, so each representative's table is
+        built once per orbit set."""
+        geom = self.geom
+        keys = [((self._build, f), *self._fused_key) for f in (_fused_rows_table, _ray_transpose)]
+
+        def make_both():
+            tables = [self._table(rep) for rep in self._fused_key[1]]
+            both = (_fused_rows_table(tables, geom.n_det),
+                    [_ray_transpose(geom, table) for table in tables])
+            _STORE.put(keys[1 - kind], both[1 - kind])
+            return both[kind]
+
+        return _STORE.get(keys[kind], make_both)
 
     def _fused_project(self, x) -> np.ndarray:
         """image -> rows of a fused projector core: per turn code, one
         gather of every orbit's table (`_fused_rows_table`), then one take
         of each view's cells, its mirrored views' reversed."""
         geom = self.geom
-        groups, columns, width = _STORE.get(
-            ((self._build, _fused_rows_table), *self._fused_key),
-            lambda: _fused_rows_table(self._table, geom.n_det, self._fused_key[1]))
+        groups, columns, width = self._fused_projector_table(0)
         if self._rows_map is None:
             rows_map = np.empty(self.rows_shape, dtype=np.int64)
             for r, (_, positions, codes) in enumerate(self.orbits):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sparsect.fista import (
     tv_prox,
     tv_value,
 )
-from sparsect.geometry import Image, Sinogram, sparse_subset
+from sparsect.geometry import Image, Sinogram, make_geometry, sparse_subset
 from sparsect.metrics import psnr
 from sparsect.phantoms import random_ellipses
 from sparsect.projector import JosephProjector
@@ -51,6 +53,25 @@ def _reference_tv_prox(b, weight, n_iters=20, tau=0.125):
         px = (px + tau * gx) / denom
         py = (py + tau * gy) / denom
     return b - weight * div(px, py)
+
+
+def _reference_tv_value(x):
+    """tv_value as written on 2-D slices, before the flat rewrite."""
+    gx = np.zeros_like(x)
+    gy = np.zeros_like(x)
+    np.subtract(x[1:, :], x[:-1, :], out=gx[:-1, :])
+    np.subtract(x[:, 1:], x[:, :-1], out=gy[:, :-1])
+    return float(np.sqrt(gx * gx + gy * gy).sum())
+
+
+def laid_out(a, layout):
+    """a itself (C order), a Fortran-ordered copy, or the transposed view of
+    a C-ordered copy of a's transpose: equal values in three memory layouts."""
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    return a
 
 
 def _reference_fista_tv(y, lam, cfg=FistaConfig()):
@@ -139,6 +160,12 @@ class TestTotalVariation:
         with pytest.raises(ValueError):
             tv_prox(RNG.random((6, 6)), float("nan"))
 
+    def test_prox_infinite_weight_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infinite"):
+                tv_prox(RNG.random((6, 6)), float("inf"))
+
     def test_prox_lowers_the_prox_objective(self):
         b = RNG.random((12, 12))
         w = 0.3
@@ -165,6 +192,24 @@ class TestTotalVariation:
         ref = _reference_tv_prox(b, weight, n_iters=n_iters)
         assert out.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (37, 53), (128, 128)])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed"])
+    @pytest.mark.parametrize("tau", [0.1, 0.125, 0.25])
+    def test_prox_matches_reference_bitwise_on_edge_shapes_and_layouts(self, shape, layout, tau):
+        b = laid_out(np.random.default_rng(13).standard_normal(shape), layout)
+        for weight in (0.02, 0.3, 5.0):
+            for n_iters in (0, 1, 20):
+                out = tv_prox(b, weight, n_iters=n_iters, tau=tau)
+                ref = _reference_tv_prox(b, weight, n_iters=n_iters, tau=tau)
+                assert out.tobytes() == ref.tobytes(), (weight, n_iters)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (9, 14), (37, 53),
+                                       (128, 128)])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed"])
+    def test_value_matches_reference_bitwise(self, shape, layout):
+        x = laid_out(np.random.default_rng(17).standard_normal(shape), layout)
+        assert np.float64(tv_value(x)).tobytes() == np.float64(_reference_tv_value(x)).tobytes()
+
     def test_huge_weight_flattens_the_image(self):
         b = RNG.random((16, 16))
         out = tv_prox(b, 100.0, n_iters=200)
@@ -179,6 +224,11 @@ class TestLipschitz:
         sigma_sq = np.linalg.svd(A, compute_uv=False)[0] ** 2
         est = estimate_lipschitz(proj, n_iters=300)
         assert est == pytest.approx(sigma_sq, rel=1e-6)
+
+    def test_zero_iterations_rejected(self, tiny_fan):
+        proj = JosephProjector(tiny_fan, sparse_subset(tiny_fan, 5))
+        with pytest.raises(ValueError, match="n_iters"):
+            estimate_lipschitz(proj, n_iters=0)
 
     def test_estimate_is_deterministic(self, tiny_fan):
         proj = JosephProjector(tiny_fan, sparse_subset(tiny_fan, 5))
@@ -196,6 +246,13 @@ class TestFista:
         y, _ = make_measurement(tiny_fan)
         with pytest.raises(ValueError):
             fista_tv(y, float("nan"))
+
+    def test_infinite_tv_weight_rejected_before_any_projection(self, tiny_fan, monkeypatch):
+        y, _ = make_measurement(tiny_fan)
+        calls = count_projector_calls(monkeypatch)
+        with pytest.raises(ValueError, match="finite"):
+            fista_tv(y, float("inf"))
+        assert calls == {"apply": 0, "applyT": 0}
 
     def test_objective_trace_is_monotone(self, tiny_fan):
         y, _ = make_measurement(tiny_fan)
@@ -257,6 +314,20 @@ class TestFista:
         assert np.max(np.abs(img - ref_img)) <= 1e-12 * np.max(np.abs(ref_img))
         assert res.lipschitz == ref.lipschitz
 
+    def test_benchmark_scale_solve_matches_the_2d_references_bitwise(self, monkeypatch):
+        """The `fista-tv` benchmark's solve: parallel beam, 180 views, 183
+        cells, 128x128, q=45, lam 0.01, default config."""
+        geom = make_geometry("parallel", n_views=180, n_det=183, det_spacing=1.0,
+                             grid=(128, 128), pixel_size=1.0)
+        y, _ = make_measurement(geom, q=45, seed=4)
+        res = fista_tv(y, 0.01)
+        monkeypatch.setattr(fista_module, "tv_prox", _reference_tv_prox)
+        monkeypatch.setattr(fista_module, "tv_value", _reference_tv_value)
+        ref = fista_tv(y, 0.01)
+        assert res.image.data.tobytes() == ref.image.data.tobytes()
+        assert res.objectives == ref.objectives
+        assert len(res.objectives) == FistaConfig().n_iters + 1
+
     def test_recovers_noiseless_phantom_reasonably(self, tiny_parallel):
         y, x_true = make_measurement(tiny_parallel, q=8)
         res = fista_tv(y, 0.01, FistaConfig(n_iters=60))
@@ -272,6 +343,20 @@ class TestFista:
         res = fista_tv(y, 0.03, FistaConfig(n_iters=60))
         fbp = np.clip(FbpOperator(geom, subset).apply(y.data), 0.0, 1.0)
         assert psnr(np.clip(res.image.data, 0, 1), x) > psnr(fbp, x)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("n_iters", -3), ("tv_iters", -1), ("power_iters", 0), ("power_iters", -2),
+        ("tau", 0.0), ("tau", -1.0), ("tau", float("inf")), ("tau", float("nan")),
+    ])
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FistaConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = FistaConfig(n_iters=0, tv_iters=0, power_iters=1, tau=1e-3)
+        assert (cfg.n_iters, cfg.tv_iters, cfg.power_iters, cfg.tau) == (0, 0, 1, 1e-3)
 
 
 class TestTuneLambda:

@@ -650,6 +650,29 @@ def test_equal_operators_build_no_fused_table(monkeypatch):
     assert len(built) == 18
 
 
+def test_fused_projector_builds_each_representative_table_once(monkeypatch):
+    """The side-by-side table and the transposes of a fused projector core
+    are made from one list of the representatives' tables."""
+    built = []
+
+    def counted(geom, view, original=projector_module._ray_tables):
+        built.append(view)
+        return original(geom, view)
+
+    monkeypatch.setattr(projector_module, "_ray_tables", counted)
+    geom = toy_geometry()
+    proj = JosephProjector(geom, None)
+    assert proj._core.fused and len(proj._core.orbits) == 8
+    counts = [len(built)]
+    y = proj.apply(np.random.default_rng(37).standard_normal(geom.grid))
+    counts.append(len(built))
+    proj.applyT(y)
+    counts.append(len(built))
+    # the admission measure builds and keeps the first representative's table
+    assert counts == [1, 8, 8]
+    assert sorted(built) == sorted(rep for rep, _, _ in proj._core.orbits)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_split_calls(two_workers):
     """A child forked after the pool started has no worker thread; its split
