@@ -14,10 +14,10 @@ symmetries of the square, keeps them in the process-wide table store when
 they are admitted, and runs the orbit loops over turned or transposed
 copies of the image: `apply` gathers through the table, and `applyT`
 gathers each detector cell's pixels, read in cell order from the same
-table (`projector._runs_by_cell`). Both split between two threads on grids
-of at least `projector._SPLIT_PIXELS` pixels. On smaller grids a kept core
-whose tables fit `projector._FUSE_BYTES` (every toy operator) runs both
-once per orbit rather than once per view, with byte-identical outputs.
+table (`projector._runs_by_cell`). Both gather in batches of one view, or
+in a fused core (every toy operator) of an orbit's views, with the same
+output bytes; on grids of at least `projector._SPLIT_PIXELS` pixels they
+split between two threads.
 The upsampler interpolates whole detector rows: each full view reads two
 consecutive rows of the subset's sinogram, extended by one wrap-around row
 at each end, with one weight per row.

@@ -17,6 +17,7 @@ subtract exact zeros, and each pixel gets the bytes of the 2-D slices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,10 +40,22 @@ class FistaConfig:
 
     def __post_init__(self):
         for name, least in (("n_iters", 0), ("tv_iters", 0), ("power_iters", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+            _check_count(name, getattr(self, name), least)
+        _check_tau(self.tau)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse an iteration count that is not an integer (Python's or
+    NumPy's; a bool is not one) or is below `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
 
 
 @dataclass
@@ -117,6 +130,8 @@ def tv_prox(b: np.ndarray, weight: float, n_iters: int = 20, tau: float = 0.125)
     edge are exact zeros: the output has the 2-D form's bytes, for any
     memory layout of b.
     """
+    _check_count("n_iters", n_iters, 0)
+    _check_tau(tau)
     if np.isnan(weight):
         raise ValueError("TV weight is NaN")
     if weight == math.inf:
@@ -151,8 +166,7 @@ def tv_prox(b: np.ndarray, weight: float, n_iters: int = 20, tau: float = 0.125)
 
 def estimate_lipschitz(proj: JosephProjector, n_iters: int = 20) -> float:
     """Largest eigenvalue of A^T A by seeded power iteration (data-term Lipschitz)."""
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+    _check_count("n_iters", n_iters, 1)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(proj.in_shape)
     x /= np.linalg.norm(x)

@@ -35,12 +35,15 @@ so every operator over an equal geometry reads the same tables, whoever
 built them first. The store also keeps the measured bytes of each
 geometry's first table, which decide admission.
 
-On grids of at least `_SPLIT_PIXELS` pixels an orbit loop runs half its
-work on the one worker of a module-level thread pool. On smaller grids a
-kept core whose tables fit `_FUSE_BYTES` (every core of the toy scan) runs
-fused loops, one gather for all members of an orbit, or for all orbits of
-a turn code. Either way the outputs are byte-identical to the serial
-member loops' (`_OrbitCore`).
+Each orbit loop runs one list of members (views) in orbit order, in
+batches: a batch is one member, or in a fused core an orbit's members at
+once, as rows of one array. A core is fused when it is kept, its grid has
+fewer than `_SPLIT_PIXELS` pixels and its tables fit `_FUSE_BYTES` (every
+core of the toy scan); there the projector's image -> rows instead
+gathers all orbits' tables side by side, once per turn code. On grids of
+at least `_SPLIT_PIXELS` pixels a loop runs half its batches on the one
+worker of a module-level thread pool. No setting changes an output byte
+(`_OrbitCore`).
 """
 
 from __future__ import annotations
@@ -148,12 +151,6 @@ class _Store:
                 self.entries[key] = (value, size)
                 self.nbytes += size
 
-    def peek(self, key: tuple):
-        """The value kept under `key`, or None, building nothing."""
-        with self._lock:
-            hit = self.entries.get(key)
-        return None if hit is None else hit[0]
-
     def clear(self) -> None:
         with self._lock:
             self.entries.clear()
@@ -179,32 +176,35 @@ def _image_pad(grid) -> int:
     return grid[1]
 
 
-def _gather(src, table, out) -> None:
-    """Adds the sum of w_k * src[idx + k*stride] over k, and over the steps
-    of a 2-D idx, into out[cells], for each group (cells, idx, stride, w_0,
-    ..., w_K-1) of `table`."""
+def _gather(src, table, out, at=()) -> None:
+    """Adds the sum of w_k * src[..., idx + k*stride] over k, and over the
+    steps of a 2-D idx, into out[*at, ..., cells], for each group (cells,
+    idx, stride, w_0, ..., w_K-1) of `table`. A 2-D src holds one member
+    per row, as do the rows of out that `at` selects."""
     for group in table:
         cells, idx, stride, w0 = group[:4]
-        vals = src.take(idx)
+        vals = src.take(idx, axis=-1)
         vals *= w0
         shift = 0
         for w in group[4:]:
             shift += stride
-            tap = src[shift:].take(idx)
+            tap = src[..., shift:].take(idx, axis=-1)
             tap *= w
             vals += tap
-        out[cells] += vals if vals.ndim == 1 else vals.sum(axis=0)
+        if idx.ndim == 2:
+            vals = vals.sum(axis=-2)
+        out[(*at, ...) if cells is ... else (*at, ..., cells)] += vals
 
 
-def _gather_runs(src, table, out) -> None:
-    """Adds into out[..., cells] the sum of each run of w * src[..., order]
-    for a `_runs_by_cell` table (order, starts, cells, w): one run per
-    cell, from its start to the next. A 2-D src and out hold one member per
-    row."""
+def _gather_runs(src, table, out, at=()) -> None:
+    """Adds into out[*at, ..., cells] the sum of each run of w * src[...,
+    order] for a `_runs_by_cell` table (order, starts, cells, w): one run
+    per cell, from its start to the next. A 2-D src holds one member per
+    row, as do the rows of out that `at` selects."""
     order, starts, cells, w = table
     vals = src.take(order, axis=-1)
     vals *= w
-    out[..., cells] += np.add.reduceat(vals, starts, axis=-1)
+    out[(*at, ..., cells)] += np.add.reduceat(vals, starts, axis=-1)
 
 
 def _runs_by_cell(geom, table) -> tuple:
@@ -268,10 +268,13 @@ def _unturned(z, code: int) -> np.ndarray:
     return (z.T if transpose else z)[axes]
 
 
-def _flat(img, pad: int) -> np.ndarray:
-    """img flattened, with `pad` zeros at each end."""
-    out = np.zeros(img.size + 2 * pad)
-    out[pad:-pad].reshape(img.shape)[...] = img
+def _flat_turns(img, codes, pad: int) -> np.ndarray:
+    """img under the symmetry of each turn code of `codes`, one flattened
+    row each, with `pad` zeros at each end."""
+    out = np.zeros((len(codes), img.size + 2 * pad))
+    for row, code in zip(out, codes):
+        turned = _turned(img, code)
+        row[pad:-pad].reshape(turned.shape)[...] = turned
     return out
 
 
@@ -280,13 +283,19 @@ def _stored_table(build, geom, fingerprint: str, view: int):
     return _STORE.get((build, fingerprint, view), lambda: build(geom, view))
 
 
-def _run_part(kernel, tables, part, src, dst) -> None:
-    """One part of an orbit loop: for each (rep, members) entry of `part`,
-    `kernel(src[s], tables(rep), dst[d])` for each member (s, d)."""
-    for rep, members in part:
+def _run_part(kernel, tables, part, src, dst, to_rows: bool) -> None:
+    """One part of an orbit loop: for each (rep, batches) entry of `part`,
+    one kernel call through `tables(rep)` per batch (positions, slots).
+    image -> rows (`to_rows`) reads the slots' turned images and fills the
+    positions' rows; rows -> image reads the positions' rows and adds into
+    the slots' accumulators."""
+    for rep, batches in part:
         table = tables(rep)
-        for s, d in members:
-            kernel(src[s], table, dst[d])
+        for positions, slots in batches:
+            if to_rows:
+                kernel(src[slots], table, dst, (positions,))
+            else:
+                kernel(src[positions], table, dst, (slots,))
 
 
 def _pool():
@@ -311,19 +320,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _orbit_loop(kernel, tables, work, src, dst, split: bool) -> None:
-    """Run the work list `work` = (whole, (part_0, part_1)) of one orbit loop.
+def _orbit_loop(kernel, tables, work, src, dst, split: bool, to_rows: bool) -> None:
+    """Run the work list `work` = (whole, (part_0, part_1)) of one orbit
+    loop (`_run_part`).
 
     A split call hands part 1 to the pool's worker and runs part 0 here;
     any other call runs `whole`, both parts merged in orbit order, here.
     """
     whole, (first, second) = work
     if not split:
-        _run_part(kernel, tables, whole, src, dst)
+        _run_part(kernel, tables, whole, src, dst, to_rows)
         return
-    future = _pool().submit(_run_part, kernel, tables, second, src, dst)
+    future = _pool().submit(_run_part, kernel, tables, second, src, dst, to_rows)
     try:
-        _run_part(kernel, tables, first, src, dst)
+        _run_part(kernel, tables, first, src, dst, to_rows)
     finally:
         future.result()
 
@@ -371,6 +381,18 @@ def _split_codes(orbits) -> tuple[set, set]:
     return sets
 
 
+def _batch(members) -> tuple:
+    """One batch of an orbit's members (position, slot), whose positions
+    are consecutive: their span, and their slots, a slice where those are
+    consecutive too."""
+    positions, slots = zip(*members)
+    if slots == tuple(range(slots[0], slots[0] + len(slots))):
+        slots = slice(slots[0], slots[0] + len(slots))
+    else:
+        slots = np.array(slots)
+    return slice(positions[0], positions[-1] + 1), slots
+
+
 class _OrbitCore:
     """Orbit loops and table lookup of a tap-table operator over a view subset.
 
@@ -385,15 +407,29 @@ class _OrbitCore:
     transpose. A mirrored view (code >= 4) reads and writes its row
     reversed.
 
-    Each loop runs a work list built here: (rep, members) entries in orbit
-    order, and the same work cut into two parts. `image_to_rows` cuts the
-    orbits into two runs of about equal member count, so each view's row is
-    written by one part. `rows_to_image` cuts the turn codes into two sets
-    of about equal member count; each part adds into its own codes'
-    accumulators only, in orbit order, and the accumulators are summed in
-    the order in which each code first appears. So a split call and a
-    serial one give byte-identical outputs. A serial call runs both parts
-    merged in orbit order, so an unadmitted core builds each table once.
+    Both loops run one list of members in orbit order. A member has its
+    code's slot (its index in `_codes`, the codes in the order in which
+    they first appear) and its row in the stack of plain then mirrored
+    rows. image -> rows reads the slots' turned images and fills the rows;
+    rows -> image reads the rows and adds each member into its slot's row
+    of one (n_codes, n_pixels) accumulator block, and the block's rows are
+    summed into a new image, code 0's first, then in slot order. A batch,
+    one kernel call, is one member, or in a fused core an orbit's members
+    as rows of one array. Those are consecutive in an orbit-ordered copy
+    of the stack (`_orbit_rows`), which image -> rows fills and places
+    once and rows -> image takes once; one-member batches address the
+    stack itself, with no copy. Sums over the steps axis and
+    `np.add.reduceat` along a row add as they do for one member, so either
+    batch size gives the same bytes.
+
+    Each loop's work list is (whole, (part_0, part_1)): (rep, batches)
+    entries in orbit order, and the same work cut in two. `image_to_rows`
+    cuts the orbits into two runs of about equal member count, so each
+    view's row is written by one part. `rows_to_image` cuts the turn codes
+    into two sets of about equal member count; each part adds into its own
+    codes' accumulators only, in orbit order. So a split call and a serial
+    one give byte-identical outputs. A serial call runs both parts merged
+    in orbit order, so an unadmitted core builds each table once.
 
     A call splits, its part 1 run by the one worker of `_POOL` while the
     caller runs part 0, when the process may use two cores (`_WORKERS`),
@@ -422,27 +458,14 @@ class _OrbitCore:
     A core is fused when it is admitted, its grid has fewer than
     `_SPLIT_PIXELS` pixels, and its orbit count times the measured bytes of
     its first representative's table is at most `_FUSE_BYTES`. A fused core
-    runs no member loop and never splits. The projector's image -> rows
-    gathers, for each turn code, every orbit's columns of
-    `_fused_rows_table` from that code's turned image, then takes each
-    view's cells, a mirrored view's reversed; columns a code does not need
-    are computed and dropped, a waste the limit keeps small. The other
-    loops run once per orbit, through the representative's own pixel-form
-    table (the backprojector's, or the projector's transpose): rows ->
-    image takes its index along each of the orbit's members' detector
-    rows, stacked as one array, and adds each member into its code's
-    accumulator; the backprojector's image -> rows runs `_gather_runs` of
-    its cell runs on the members' turned images as rows of one array.
-    Sums over the steps axis and `np.add.reduceat` along a row add as they
-    do for one member, so every output byte equals the member loops'. The
-    side-by-side table, the list of pixel-form tables
-    (`_fused_image_tables`) and the list of cell runs are kept in `_STORE`
-    under the geometry and the orbit representatives, so the toy subsets,
-    which share their eight, share one of each. They are built from the
-    kept representatives' tables where the store holds them, else from
-    tables built and dropped. A projector core makes its side-by-side table
-    and its transposes together, from one list of those tables, so each
-    representative's table is built once.
+    never splits. Its projector's image -> rows (`_fused_project`) gathers,
+    for each turn code, every orbit's columns of `_fused_rows_table` from
+    that code's turned image, then takes each view's cells, a mirrored
+    view's reversed; columns a code does not need are computed and
+    dropped, a waste the limit keeps small. That side-by-side table is made
+    from the kept representatives' tables and kept in `_STORE` under the
+    geometry and the orbit representatives, so the toy subsets, which share
+    their eight, share it.
 
     The core is admitted when its tables fit `_CACHE_LIMIT_BYTES`, judged
     at construction from the measured bytes of its first representative's
@@ -450,11 +473,12 @@ class _OrbitCore:
     measure per geometry, so an equal operator builds nothing to judge. An
     admitted core keeps its tables in `_STORE`, and a projector core their
     transposes; any other core rebuilds both per call. The backprojector's
-    `_runs_by_cell` tables are derived per call and kept only in fused
-    cores, where they are small, so admission never counts them: at
-    `fan-1024` with q=64 the backprojector is admitted with 59.4 of its
-    64 MiB, and deriving the cell order costs about as much as building the
-    table (0.97 against 0.83 ms per orbit at 256x256).
+    `_runs_by_cell` tables are derived per call and kept, per
+    representative, only in fused cores, where they are small, so
+    admission never counts them: at `fan-1024` with q=64 the backprojector
+    is admitted with 59.4 of its 64 MiB, and deriving the cell order costs
+    about as much as building the table (0.97 against 0.83 ms per orbit at
+    256x256).
     """
 
     def __init__(self, geom, subset, build, to_image: bool):
@@ -476,56 +500,46 @@ class _OrbitCore:
 
         size = _STORE.get(((build, _nbytes), self._fingerprint, rep), measure)
         self.admitted = self._admits(size)
+        self.fused = (self.admitted and geom.grid[0] * geom.grid[1] < _SPLIT_PIXELS
+                      and len(self.orbits) * size <= _FUSE_BYTES)
         self.tables = (partial(_stored_table, build, geom, self._fingerprint) if self.admitted
                        else partial(build, geom))
         # (kernel, tables) of each loop; the tables of a loop against the
-        # table's direction are its transposes.
+        # table's direction are its transposes, kept per representative
+        # where the store keeps them.
         if to_image:
-            runs = partial(_derived, partial(_runs_by_cell, geom), self.tables, None)
+            key = ((build, _runs_by_cell), self._fingerprint) if self.fused else None
+            runs = partial(_derived, partial(_runs_by_cell, geom), self.tables, key)
             self._rows_loop, self._image_loop = (_gather_runs, runs), (_gather, self.tables)
         else:
             key = ((build, _ray_transpose), self._fingerprint) if self.admitted else None
             transposes = partial(_derived, partial(_ray_transpose, geom), self.tables, key)
             self._rows_loop, self._image_loop = (_gather, self.tables), (_gather, transposes)
-        self.fused = (self.admitted and geom.grid[0] * geom.grid[1] < _SPLIT_PIXELS
-                      and len(self.orbits) * size <= _FUSE_BYTES)
 
-        # image -> rows: member (code, (mirrored, position)) reads its code's
-        # source and fills its own row.
-        rows_work = [(rep, [(c, (int(c >= 4), vi)) for vi, c in zip(positions, codes)])
-                     for rep, positions, codes in self.orbits]
-        ends = np.cumsum([len(members) for _, members in rows_work])
-        cut = int(np.argmin(np.abs(2 * ends - ends[-1]))) + 1
-        self._rows_work = rows_work, (rows_work[:cut], rows_work[cut:])
-        # rows -> image: member ((mirrored, position), code) reads its row
-        # and adds into its code's accumulator.
-        image_work = [(rep, [((int(c >= 4), vi), c) for vi, c in zip(positions, codes)])
-                      for rep, positions, codes in self.orbits]
-        parts = tuple([(rep, kept) for rep, members in image_work
-                       if (kept := [m for m in members if m[1] in codes])]
-                      for codes in _split_codes(self.orbits))
-        self._image_work = image_work, parts
+        # The members, per orbit: (position, slot). A member's position is
+        # its row in the stack of plain then mirrored rows, or in a fused
+        # core its row in the orbit-ordered copy of that stack whose rows
+        # `_orbit_rows` lists, so that an orbit's rows are consecutive.
         self._codes = list(dict.fromkeys(c for _, _, codes in self.orbits for c in codes))
-
-        if self.fused:
-            # The members' rows in the stack of plain then mirrored rows, in
-            # orbit order; per orbit, its members' span of that order and
-            # their codes' accumulators (a slice where they are consecutive).
-            slot = {code: k for k, code in enumerate(self._codes)}
-            self._fused_sel = np.array([int(c >= 4) * self.subset.q1 + vi
-                                        for _, positions, codes in self.orbits
-                                        for vi, c in zip(positions, codes)])
-            self._fused_work, start = [], 0
-            for rep, positions, codes in self.orbits:
-                slots = [slot[c] for c in codes]
-                if slots == list(range(slots[0], slots[0] + len(slots))):
-                    slots = slice(slots[0], slots[0] + len(slots))
-                else:
-                    slots = np.array(slots)
-                self._fused_work.append((start, start + len(codes), slots))
-                start += len(codes)
-            self._rows_map = None
-            self._fused_key = (self._fingerprint, tuple(rep for rep, _, _ in self.orbits))
+        slot = {code: k for k, code in enumerate(self._codes)}
+        # (code, slot) in the order rows -> image sums the accumulators.
+        self._sum_order = sorted(slot.items(), key=lambda item: item[0] != 0)
+        rows = [int(c >= 4) * self.subset.q1 + vi
+                for _, positions, codes in self.orbits for vi, c in zip(positions, codes)]
+        self._orbit_rows = np.array(rows) if self.fused else None
+        position = iter(range(len(rows)) if self.fused else rows)
+        members = [(rep, [(next(position), slot[c]) for c in codes])
+                   for rep, _, codes in self.orbits]
+        # A batch is one member, or in a fused core an orbit's members.
+        whole = [(rep, [_batch(orbit)]) for rep, orbit in members] if self.fused else members
+        ends = np.cumsum([len(orbit) for _, orbit in members])
+        cut = int(np.argmin(np.abs(2 * ends - ends[-1]))) + 1
+        self._rows_work = whole, (whole[:cut], whole[cut:])
+        parts = tuple([(rep, kept) for rep, orbit in members
+                       if (kept := [m for m in orbit if self._codes[m[1]] in codes])]
+                      for codes in _split_codes(self.orbits))
+        self._image_work = whole, parts
+        self._rows_map = None
 
         big = _WORKERS > 1 and geom.grid[0] * geom.grid[1] >= _SPLIT_PIXELS
         self._split_rows = big and all(self._rows_work[1])
@@ -534,45 +548,15 @@ class _OrbitCore:
     def _admits(self, size: int) -> bool:
         return 1.1 * len(self.orbits) * size <= _CACHE_LIMIT_BYTES
 
-    def _table(self, view: int):
-        """The table of `view`, the kept one if the store holds it, else built unkept."""
-        table = _STORE.peek((self._build, self._fingerprint, view))
-        return self._build(self.geom, view) if table is None else table
-
-    def _fused_image_tables(self) -> list:
-        """The pixel-form tables of this core's orbit representatives, in
-        orbit order: the backprojector's own, or the projector's transposes.
-        One list is kept per geometry and orbit set, under the kind of its
-        tables and the tuple of representatives."""
-        if self._to_image:
-            return _STORE.get((self._build, *self._fused_key),
-                              lambda: [self._table(rep) for rep in self._fused_key[1]])
-        return self._fused_projector_table(1)
-
-    def _fused_projector_table(self, kind: int):
-        """The side-by-side table (`kind` 0, `_fused_rows_table`) or the list
-        of transposes (`kind` 1) of a fused projector core, each kept as one
-        store entry. A miss makes both from one list of the representatives'
-        tables and keeps the other too, so each representative's table is
-        built once per orbit set."""
-        geom = self.geom
-        keys = [((self._build, f), *self._fused_key) for f in (_fused_rows_table, _ray_transpose)]
-
-        def make_both():
-            tables = [self._table(rep) for rep in self._fused_key[1]]
-            both = (_fused_rows_table(tables, geom.n_det),
-                    [_ray_transpose(geom, table) for table in tables])
-            _STORE.put(keys[1 - kind], both[1 - kind])
-            return both[kind]
-
-        return _STORE.get(keys[kind], make_both)
-
-    def _fused_project(self, x) -> np.ndarray:
-        """image -> rows of a fused projector core: per turn code, one
-        gather of every orbit's table (`_fused_rows_table`), then one take
-        of each view's cells, its mirrored views' reversed."""
-        geom = self.geom
-        groups, columns, width = self._fused_projector_table(0)
+    def _fused_project(self, src) -> np.ndarray:
+        """image -> rows of a fused projector core, from the turned images
+        `src`: per turn code, one gather of every orbit's table side by side
+        (`_fused_rows_table`), then one take of each view's cells, its
+        mirrored views' reversed."""
+        reps = tuple(rep for rep, _, _ in self.orbits)
+        groups, columns, width = _STORE.get(
+            ((self._build, _fused_rows_table), self._fingerprint, reps),
+            lambda: _fused_rows_table([self.tables(rep) for rep in reps], self.geom.n_det))
         if self._rows_map is None:
             rows_map = np.empty(self.rows_shape, dtype=np.int64)
             for r, (_, positions, codes) in enumerate(self.orbits):
@@ -581,82 +565,54 @@ class _OrbitCore:
                     rows_map[vi] = k * width + columns[r, ::-1 if c >= 4 else None]
             self._rows_map = rows_map
         res = np.zeros((len(self._codes), width))
-        for k, code in enumerate(self._codes):
-            src = _flat(_turned(x, code), _image_pad(geom.grid))
+        for image, out in zip(src, res):
             for i0, i1, w0, w1, first, stop in groups:
-                vals = src.take(i0)
+                vals = image.take(i0)
                 vals *= w0
-                tap = src.take(i1)
+                tap = image.take(i1)
                 tap *= w1
                 vals += tap
-                vals.sum(axis=0, out=res[k, first:stop])
+                vals.sum(axis=0, out=out[first:stop])
         return res.take(self._rows_map)
-
-    def _fused_backproject_runs(self, srcs, out) -> None:
-        """image -> rows of a fused backprojector core: per orbit, one
-        `_gather_runs` over its members' turned images as rows."""
-        stack = np.stack([srcs[code] for code in self._codes])
-        # Derived from the tables that rows -> image reads, so no table is
-        # built twice.
-        tables = _STORE.get(((self._build, _runs_by_cell), *self._fused_key),
-                            lambda: [_runs_by_cell(self.geom, table)
-                                     for table in self._fused_image_tables()])
-        rows = np.zeros((self._fused_sel.size, self.rows_shape[1]))
-        for (start, stop, slots), table in zip(self._fused_work, tables):
-            _gather_runs(stack[slots], table, rows[start:stop])
-        out.reshape(-1, rows.shape[1])[self._fused_sel] = rows
 
     def image_to_rows(self, x) -> np.ndarray:
         x = _checked(x, self.geom.grid, "image")
+        src = _flat_turns(x, self._codes, _image_pad(self.geom.grid))
         if self.fused and not self._to_image:
-            return self._fused_project(x)
-        # Mirrored views fill their own rows unreversed, flipped once at the
+            return self._fused_project(src)
+        # Mirrored views' rows are filled unreversed and flipped once at the
         # end: adding into reversed row views is slower.
         out = np.zeros((2, *self.rows_shape))
-        pad = _image_pad(self.geom.grid)
-        srcs = {code: _flat(_turned(x, code), pad) for code in self._codes}
-        if self.fused:
-            self._fused_backproject_runs(srcs, out)
-        else:
-            _orbit_loop(*self._rows_loop, self._rows_work, srcs, out, self._split_rows)
+        stack = out.reshape(-1, self.rows_shape[1])
+        rows = stack if self._orbit_rows is None else np.zeros((len(self._orbit_rows),
+                                                               stack.shape[1]))
+        _orbit_loop(*self._rows_loop, self._rows_work, src, rows, self._split_rows, True)
+        if self._orbit_rows is not None:
+            stack[self._orbit_rows] = rows
         plain, mirrored = out
         return plain + mirrored[:, ::-1]
 
     def rows_to_image(self, y) -> np.ndarray:
         y = _checked(y, self.rows_shape, "sinogram")
         grid = self.geom.grid
-        m = grid[0] * grid[1]
-        # The rows, then the mirrored views' rows reversed, each contiguous
-        # and with one zero at each end.
+        # The rows, then the mirrored views' rows reversed, each with one
+        # zero at each end.
         rows = np.zeros((2, y.shape[0], y.shape[1] + 2))
         rows[0, :, 1:-1] = y
         rows[1] = rows[0, :, ::-1]
-        if self.fused:
-            # Per orbit, one gather from its members' rows through the
-            # representative's table; each member adds into its code's
-            # accumulator, in orbit order as in the loops.
-            stack = rows.reshape(-1, rows.shape[2]).take(self._fused_sel, axis=0)
-            acc = np.zeros((len(self._codes), m))
-            for (start, stop, slots), [(_, idx, _, *weights)] in zip(
-                    self._fused_work, self._fused_image_tables()):
-                src = stack[start:stop]
-                vals = src.take(idx, axis=1)
-                vals *= weights[0]
-                for k, w in enumerate(weights[1:], 1):
-                    tap = src[:, k:].take(idx, axis=1)
-                    tap *= w
-                    vals += tap
-                acc[slots] += vals
-            accs = dict(zip(self._codes, acc))
-        else:
-            kernel, tables = self._image_loop
-            if self._split_image and self.admitted:
-                tables = {rep: tables(rep) for rep, _ in self._image_work[0]}.__getitem__
-            accs = {code: np.zeros(m) for code in self._codes}
-            _orbit_loop(kernel, tables, self._image_work, rows, accs, self._split_image)
-        out = accs.pop(0, np.zeros(m)).reshape(grid)
-        for code, acc in accs.items():
-            out += _unturned(acc.reshape(grid), code)
+        src = rows.reshape(-1, rows.shape[2])
+        if self._orbit_rows is not None:
+            src = src.take(self._orbit_rows, axis=0)
+        acc = np.zeros((len(self._codes), grid[0] * grid[1]))
+        kernel, tables = self._image_loop
+        if self._split_image and self.admitted:
+            tables = {rep: tables(rep) for rep, _ in self._image_work[0]}.__getitem__
+        _orbit_loop(kernel, tables, self._image_work, src, acc, self._split_image, False)
+        # A new image, not a view that would keep the whole block alive.
+        (code, k), *rest = self._sum_order
+        out = _unturned(acc[k].reshape(grid), code).copy()
+        for code, k in rest:
+            out += _unturned(acc[k].reshape(grid), code)
         return out
 
 

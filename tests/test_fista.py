@@ -132,6 +132,10 @@ def count_projector_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
+def no_prox_step(*args, **kwargs):
+    raise AssertionError("tv_prox started before checking its arguments")
+
+
 def no_solve(*args, **kwargs):
     raise AssertionError("tune_lambda solved before checking its inputs")
 
@@ -165,6 +169,28 @@ class TestTotalVariation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="infinite"):
                 tv_prox(RNG.random((6, 6)), float("inf"))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("inf"), float("nan")])
+    def test_prox_invalid_tau_rejected_before_any_work(self, tau, monkeypatch):
+        """As FistaConfig refuses it: tau=-1.0 once returned an image 2.07
+        away from b with no warning."""
+        monkeypatch.setattr(fista_module, "_div_into", no_prox_step)
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            tv_prox(RNG.random((16, 16)), 0.3, tau=tau)
+
+    @pytest.mark.parametrize("n_iters, message", [
+        (-1, "n_iters must be >= 0"), (-3, "n_iters must be >= 0"),
+        (2.5, "n_iters must be an integer"), (True, "n_iters must be an integer"),
+    ])
+    def test_prox_invalid_iteration_count_rejected_before_any_work(self, n_iters, message,
+                                                                   monkeypatch):
+        monkeypatch.setattr(fista_module, "_div_into", no_prox_step)
+        with pytest.raises(ValueError, match=message):
+            tv_prox(RNG.random((16, 16)), 0.3, n_iters=n_iters)
+
+    def test_prox_accepts_numpy_integer_iterations(self):
+        b = RNG.random((9, 7))
+        assert tv_prox(b, 0.3, n_iters=np.int64(5)).tobytes() == tv_prox(b, 0.3, 5).tobytes()
 
     def test_prox_lowers_the_prox_objective(self):
         b = RNG.random((12, 12))
@@ -229,6 +255,19 @@ class TestLipschitz:
         proj = JosephProjector(tiny_fan, sparse_subset(tiny_fan, 5))
         with pytest.raises(ValueError, match="n_iters"):
             estimate_lipschitz(proj, n_iters=0)
+
+    @pytest.mark.parametrize("n_iters", [2.5, True, np.float64(3.0), "3"])
+    def test_non_integer_iterations_rejected_before_any_projection(self, n_iters, tiny_fan,
+                                                                   monkeypatch):
+        proj = JosephProjector(tiny_fan, sparse_subset(tiny_fan, 5))
+        calls = count_projector_calls(monkeypatch)
+        with pytest.raises(ValueError, match="n_iters must be an integer"):
+            estimate_lipschitz(proj, n_iters=n_iters)
+        assert calls == {"apply": 0, "applyT": 0}
+
+    def test_numpy_integer_iterations_accepted(self, tiny_fan):
+        proj = JosephProjector(tiny_fan, sparse_subset(tiny_fan, 5))
+        assert estimate_lipschitz(proj, n_iters=np.int32(7)) == estimate_lipschitz(proj, 7)
 
     def test_estimate_is_deterministic(self, tiny_fan):
         proj = JosephProjector(tiny_fan, sparse_subset(tiny_fan, 5))
@@ -353,6 +392,19 @@ class TestConfig:
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             FistaConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_iters", "tv_iters", "power_iters"])
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3"],
+                             ids=["float", "bool", "numpy-float", "str"])
+    def test_non_integer_count_rejected(self, field, value):
+        """n_iters=2.5 once failed inside range() after the FBP start and the
+        power iteration had run, and True ran one iteration."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FistaConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = FistaConfig(n_iters=np.int64(3), tv_iters=np.int32(2), power_iters=np.uint8(4))
+        assert (cfg.n_iters, cfg.tv_iters, cfg.power_iters) == (3, 2, 4)
 
     def test_boundary_values_accepted(self):
         cfg = FistaConfig(n_iters=0, tv_iters=0, power_iters=1, tau=1e-3)

@@ -616,6 +616,62 @@ def test_toy_steps_keep_the_fused_tables_within_half_a_mib_more():
     assert _STORE.nbytes <= UNFUSED_TOY_STORE_BYTES + 2**19
 
 
+def store_arrays(value):
+    """The ndarrays of a store value, through nested lists and tuples."""
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in store_arrays(v)]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+def test_toy_steps_keep_no_array_in_two_store_entries():
+    """Each kept array is counted once: fused cores read the same
+    per-representative entries as every other kept core, and no entry
+    holds a list of arrays that another entry holds too."""
+    model = toy_model(ToySpec(n_stages=2))
+    for q in (15, 30):
+        train_loop(model, toy_phantoms(2, 0), TrainConfig(steps=1, view_schedule=(q,)))
+    holders = {}
+    for key, (value, _) in _STORE.entries.items():
+        for a in store_arrays(value):
+            holders.setdefault(id(a), set()).add(key)
+    assert len(holders) > 0
+    assert [keys for keys in holders.values() if len(keys) > 1] == []
+
+
+def memory_of(a):
+    """The array whose memory `a` lives in: `a` itself, or its last base."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+OWNER_CASES = {
+    "toy-q15": (toy_geometry, 15),
+    "toy-q30": (toy_geometry, 30),
+    "toy-full": (toy_geometry, None),
+    "recon-mid-q32": (recon_mid_geometry, 32),
+    "recon-mid-full": (recon_mid_geometry, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OWNER_CASES))
+def test_operator_outputs_keep_no_more_memory_than_their_own(case):
+    """apply and applyT of the projector, the backprojector and FbpOperator
+    return an array that lives in memory of its own size: never a view of
+    a larger block, such as one turn code's row of the accumulators, which
+    would keep every code's accumulator alive with it."""
+    make, q = OWNER_CASES[case]
+    geom = make()
+    sub = None if q is None else sparse_subset(geom, q)
+    rng = np.random.default_rng(38)
+    x = rng.standard_normal(geom.grid)
+    y = rng.standard_normal((JosephProjector(geom, sub).subset.q1, geom.n_det))
+    for op in (JosephProjector(geom, sub), PixelBackprojector(geom, sub), FbpOperator(geom, sub)):
+        image_in = isinstance(op, JosephProjector)
+        for out in (op.apply(x if image_in else y), op.applyT(y if image_in else x)):
+            assert memory_of(out).nbytes == out.nbytes
+
+
 def test_equal_operators_build_no_fused_table(monkeypatch):
     built = []
 
