@@ -173,6 +173,9 @@ def _decode(buf: bytes, path: str | Path) -> Checkpoint:
     LossConfig(gamma=gamma)
     (stored_count,) = struct.unpack_from("<Q", buf, 40)
     (flags,) = struct.unpack_from("<B", buf, 48)
+    unknown = flags & ~(_FLAG_SHARED | _FLAG_ADAM | _FLAG_RNG)
+    if unknown:
+        raise CheckpointError(f"{path}: unknown flag bits {unknown:#04x}")
     off = 49
     params, off = _read_entries(buf, off)
 

@@ -16,8 +16,9 @@ copies of the image: `apply` gathers through the table, and `applyT`
 gathers each detector cell's pixels, read in cell order from the same
 table (`projector._runs_by_cell`). Both gather in batches of one view, or
 in a fused core (every toy operator) of an orbit's views, with the same
-output bytes; on grids of at least `projector._SPLIT_PIXELS` pixels they
-split between two threads.
+output bytes, over one buffer of the detector rows in orbit order; on
+grids of at least `projector._SPLIT_PIXELS` pixels they split between two
+threads.
 The upsampler interpolates whole detector rows: each full view reads two
 consecutive rows of the subset's sinogram, extended by one wrap-around row
 at each end, with one weight per row.

@@ -10,6 +10,7 @@ it never saw during training.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +107,15 @@ class ReconNet:
         """Build (or fetch) the operator bundle for a view subset.
 
         Registering a different subset under an already-registered view
-        count is an error; re-registering the same one is a no-op.
+        count is an error; re-registering the same one is a no-op. A count
+        is any integer, Python's or NumPy's, but not a bool.
         """
-        if isinstance(subset_or_count, int):
-            subset = sparse_subset(self.geom, subset_or_count)
-        else:
+        if isinstance(subset_or_count, ViewSubset):
             subset = _view_subset(self.geom, subset_or_count)
+        elif isinstance(subset_or_count, numbers.Integral) and not isinstance(subset_or_count, bool):
+            subset = sparse_subset(self.geom, int(subset_or_count))
+        else:
+            raise GeometryError(f"expected a view count or a ViewSubset, got {subset_or_count!r}")
         key = subset.q1
         have = self._bundles.get(key)
         if have is not None:

@@ -35,13 +35,15 @@ so every operator over an equal geometry reads the same tables, whoever
 built them first. The store also keeps the measured bytes of each
 geometry's first table, which decide admission.
 
-Each orbit loop runs one list of members (views) in orbit order, in
-batches: a batch is one member, or in a fused core an orbit's members at
-once, as rows of one array. A core is fused when it is kept, its grid has
-fewer than `_SPLIT_PIXELS` pixels and its tables fit `_FUSE_BYTES` (every
-core of the toy scan); there the projector's image -> rows instead
-gathers all orbits' tables side by side, once per turn code. On grids of
-at least `_SPLIT_PIXELS` pixels a loop runs half its batches on the one
+Every core keeps its detector rows in one buffer in orbit order, so an
+orbit's members (views) are consecutive rows; the rows enter and leave
+view order once per call. Each orbit loop runs its members in batches: a
+batch is one member, or in a fused core an orbit's members at once, as
+rows of one array. A core is fused when it is kept, its grid has fewer
+than `_SPLIT_PIXELS` pixels and its tables fit `_FUSE_BYTES` (every core
+of the toy scan); there the projector's image -> rows instead gathers
+all orbits' tables side by side, once per turn code. On grids of at
+least `_SPLIT_PIXELS` pixels a loop runs half its batches on the one
 worker of a module-level thread pool. No setting changes an output byte
 (`_OrbitCore`).
 """
@@ -283,19 +285,14 @@ def _stored_table(build, geom, fingerprint: str, view: int):
     return _STORE.get((build, fingerprint, view), lambda: build(geom, view))
 
 
-def _run_part(kernel, tables, part, src, dst, to_rows: bool) -> None:
+def _run_part(kernel, tables, part, src, dst) -> None:
     """One part of an orbit loop: for each (rep, batches) entry of `part`,
-    one kernel call through `tables(rep)` per batch (positions, slots).
-    image -> rows (`to_rows`) reads the slots' turned images and fills the
-    positions' rows; rows -> image reads the positions' rows and adds into
-    the slots' accumulators."""
+    one kernel call through `tables(rep)` per batch (read, write), which
+    reads src[read] and adds into the rows `write` of dst."""
     for rep, batches in part:
         table = tables(rep)
-        for positions, slots in batches:
-            if to_rows:
-                kernel(src[slots], table, dst, (positions,))
-            else:
-                kernel(src[positions], table, dst, (slots,))
+        for read, write in batches:
+            kernel(src[read], table, dst, (write,))
 
 
 def _pool():
@@ -320,7 +317,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _orbit_loop(kernel, tables, work, src, dst, split: bool, to_rows: bool) -> None:
+def _orbit_loop(kernel, tables, work, src, dst, split: bool) -> None:
     """Run the work list `work` = (whole, (part_0, part_1)) of one orbit
     loop (`_run_part`).
 
@@ -329,11 +326,11 @@ def _orbit_loop(kernel, tables, work, src, dst, split: bool, to_rows: bool) -> N
     """
     whole, (first, second) = work
     if not split:
-        _run_part(kernel, tables, whole, src, dst, to_rows)
+        _run_part(kernel, tables, whole, src, dst)
         return
-    future = _pool().submit(_run_part, kernel, tables, second, src, dst, to_rows)
+    future = _pool().submit(_run_part, kernel, tables, second, src, dst)
     try:
-        _run_part(kernel, tables, first, src, dst, to_rows)
+        _run_part(kernel, tables, first, src, dst)
     finally:
         future.result()
 
@@ -409,21 +406,25 @@ class _OrbitCore:
 
     Both loops run one list of members in orbit order. A member has its
     code's slot (its index in `_codes`, the codes in the order in which
-    they first appear) and its row in the stack of plain then mirrored
-    rows. image -> rows reads the slots' turned images and fills the rows;
-    rows -> image reads the rows and adds each member into its slot's row
-    of one (n_codes, n_pixels) accumulator block, and the block's rows are
-    summed into a new image, code 0's first, then in slot order. A batch,
-    one kernel call, is one member, or in a fused core an orbit's members
-    as rows of one array. Those are consecutive in an orbit-ordered copy
-    of the stack (`_orbit_rows`), which image -> rows fills and places
-    once and rows -> image takes once; one-member batches address the
-    stack itself, with no copy. Sums over the steps axis and
-    `np.add.reduceat` along a row add as they do for one member, so either
-    batch size gives the same bytes.
+    they first appear) and its position, its row of one buffer of detector
+    rows in orbit order, so an orbit's members are consecutive rows.
+    image -> rows reads the slots' turned images and fills the buffer,
+    then reverses the mirrored members' rows and takes the rows in view
+    order (`_view_rows`). rows -> image takes the buffer, each row with one
+    zero at each end, from the stack of the plain then reversed view rows
+    (`_orbit_rows`), and adds each member into its slot's row of one
+    (n_codes, n_pixels) accumulator block; the block's rows are summed
+    into a new image, code 0's first, then in slot order. A batch, one
+    kernel call, is one member, or in a fused core an orbit's members as
+    rows of one array. Sums over the steps axis and `np.add.reduceat`
+    along a row add as they do for one member, so either batch size gives
+    the same bytes.
 
     Each loop's work list is (whole, (part_0, part_1)): (rep, batches)
-    entries in orbit order, and the same work cut in two. `image_to_rows`
+    entries in orbit order, and the same work cut in two. A batch is
+    (read, write), the rows of the loop's source and of its output:
+    positions then slots in rows -> image, slots then positions in
+    image -> rows. `image_to_rows`
     cuts the orbits into two runs of about equal member count, so each
     view's row is written by one part. `rows_to_image` cuts the turn codes
     into two sets of about equal member count; each part adds into its own
@@ -517,24 +518,30 @@ class _OrbitCore:
             self._rows_loop, self._image_loop = (_gather, self.tables), (_gather, transposes)
 
         # The members, per orbit: (position, slot). A member's position is
-        # its row in the stack of plain then mirrored rows, or in a fused
-        # core its row in the orbit-ordered copy of that stack whose rows
-        # `_orbit_rows` lists, so that an orbit's rows are consecutive.
+        # its row in the orbit-ordered buffer, so that an orbit's rows are
+        # consecutive. `_orbit_rows` holds each member's row in the stack of
+        # plain then reversed view rows, `_mirrored` the positions of the
+        # mirrored members, and `_view_rows` each view's position.
         self._codes = list(dict.fromkeys(c for _, _, codes in self.orbits for c in codes))
         slot = {code: k for k, code in enumerate(self._codes)}
         # (code, slot) in the order rows -> image sums the accumulators.
         self._sum_order = sorted(slot.items(), key=lambda item: item[0] != 0)
-        rows = [int(c >= 4) * self.subset.q1 + vi
-                for _, positions, codes in self.orbits for vi, c in zip(positions, codes)]
-        self._orbit_rows = np.array(rows) if self.fused else None
-        position = iter(range(len(rows)) if self.fused else rows)
+        views = [(vi, c) for _, positions, codes in self.orbits for vi, c in zip(positions, codes)]
+        self._orbit_rows = np.array([int(c >= 4) * self.subset.q1 + vi for vi, c in views])
+        self._mirrored = np.flatnonzero([c >= 4 for _, c in views])
+        self._view_rows = np.argsort([vi for vi, _ in views])
+        position = iter(range(len(views)))
         members = [(rep, [(next(position), slot[c]) for c in codes])
                    for rep, _, codes in self.orbits]
-        # A batch is one member, or in a fused core an orbit's members.
+        # A batch is one member, or in a fused core an orbit's members. The
+        # work lists hold (read, write) batches: rows -> image reads
+        # positions and writes slots, image -> rows the other way round.
         whole = [(rep, [_batch(orbit)]) for rep, orbit in members] if self.fused else members
         ends = np.cumsum([len(orbit) for _, orbit in members])
         cut = int(np.argmin(np.abs(2 * ends - ends[-1]))) + 1
-        self._rows_work = whole, (whole[:cut], whole[cut:])
+        to_rows = [(rep, [(slots, positions) for positions, slots in batches])
+                   for rep, batches in whole]
+        self._rows_work = to_rows, (to_rows[:cut], to_rows[cut:])
         parts = tuple([(rep, kept) for rep, orbit in members
                        if (kept := [m for m in orbit if self._codes[m[1]] in codes])]
                       for codes in _split_codes(self.orbits))
@@ -580,34 +587,27 @@ class _OrbitCore:
         src = _flat_turns(x, self._codes, _image_pad(self.geom.grid))
         if self.fused and not self._to_image:
             return self._fused_project(src)
-        # Mirrored views' rows are filled unreversed and flipped once at the
-        # end: adding into reversed row views is slower.
-        out = np.zeros((2, *self.rows_shape))
-        stack = out.reshape(-1, self.rows_shape[1])
-        rows = stack if self._orbit_rows is None else np.zeros((len(self._orbit_rows),
-                                                               stack.shape[1]))
-        _orbit_loop(*self._rows_loop, self._rows_work, src, rows, self._split_rows, True)
-        if self._orbit_rows is not None:
-            stack[self._orbit_rows] = rows
-        plain, mirrored = out
-        return plain + mirrored[:, ::-1]
+        # Mirrored members' rows are filled unreversed and reversed once at
+        # the end: adding into reversed row views is slower.
+        rows = np.zeros(self.rows_shape)
+        _orbit_loop(*self._rows_loop, self._rows_work, src, rows, self._split_rows)
+        rows[self._mirrored] = rows[self._mirrored, ::-1]
+        return rows.take(self._view_rows, axis=0)
 
     def rows_to_image(self, y) -> np.ndarray:
         y = _checked(y, self.rows_shape, "sinogram")
         grid = self.geom.grid
         # The rows, then the mirrored views' rows reversed, each with one
-        # zero at each end.
+        # zero at each end; the members take theirs in orbit order.
         rows = np.zeros((2, y.shape[0], y.shape[1] + 2))
         rows[0, :, 1:-1] = y
         rows[1] = rows[0, :, ::-1]
-        src = rows.reshape(-1, rows.shape[2])
-        if self._orbit_rows is not None:
-            src = src.take(self._orbit_rows, axis=0)
+        src = rows.reshape(-1, rows.shape[2]).take(self._orbit_rows, axis=0)
         acc = np.zeros((len(self._codes), grid[0] * grid[1]))
         kernel, tables = self._image_loop
         if self._split_image and self.admitted:
             tables = {rep: tables(rep) for rep, _ in self._image_work[0]}.__getitem__
-        _orbit_loop(kernel, tables, self._image_work, src, acc, self._split_image, False)
+        _orbit_loop(kernel, tables, self._image_work, src, acc, self._split_image)
         # A new image, not a view that would keep the whole block alive.
         (code, k), *rest = self._sum_order
         out = _unturned(acc[k].reshape(grid), code).copy()
@@ -805,24 +805,3 @@ def back_project(y: Sinogram) -> Image:
     proj = JosephProjector(y.geom, y.subset)
     return Image(proj.applyT(y.data), y.geom)
 
-
-def dense_matrix_oracle(
-    geom: ScanGeometry, subset: ViewSubset | None = None
-) -> np.ndarray:
-    """Explicit projection matrix, column j = projection of unit pixel j.
-
-    Only for small grids; this is the reference the fast operators are
-    tested against, not a production path.
-    """
-    m1, m2 = geom.grid
-    if m1 * m2 > 4096:
-        raise ValueError("dense oracle restricted to grids of <= 4096 pixels")
-    proj = JosephProjector(geom, subset)
-    n_rows = proj.out_shape[0] * proj.out_shape[1]
-    mat = np.zeros((n_rows, m1 * m2))
-    basis = np.zeros((m1, m2))
-    for j in range(m1 * m2):
-        basis.flat[j] = 1.0
-        mat[:, j] = proj.apply(basis).ravel()
-        basis.flat[j] = 0.0
-    return mat

@@ -182,6 +182,8 @@ def _decode(raw: bytes, path: str | Path) -> np.ndarray:
     payload = raw[off : off + expect]
     if len(payload) != expect:
         raise TensorFormatError(f"{path}: truncated payload")
+    if off + expect != len(raw):
+        raise TensorFormatError(f"{path}: {len(raw) - off - expect} trailing bytes")
     return np.frombuffer(payload, dtype=dt).reshape(dims).astype(dt.newbyteorder("="))
 
 

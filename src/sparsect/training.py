@@ -26,6 +26,7 @@ from .checkpoint import (
     restore_rng,
     save_checkpoint,
 )
+from .fista import _check_count
 from .geometry import Sinogram, _checked
 from .losses import LossConfig, total_loss, unsupervised_loss
 from .model import ReconNet
@@ -47,12 +48,12 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        _check_count("steps", self.steps, 0)
         if not self.view_schedule:
             raise ValueError("view_schedule must not be empty")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        for q in self.view_schedule:
+            _check_count("view count", q, 1)
+        _check_count("checkpoint_every", self.checkpoint_every, 0)
         # The configs the loop builds from lr and gamma check them.
         AdamConfig(lr=self.lr)
         LossConfig(gamma=self.gamma)

@@ -297,6 +297,15 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_unknown_flag_bit_rejected(self, tiny_fan, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(tiny_fan))
+        raw = bytearray(path.read_bytes())
+        raw[48] |= 0x80  # the flags byte; bits 0-2 are the only ones defined
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="flag bits 0x80"):
+            load_checkpoint(path)
+
     def test_corrupted_param_count_rejected(self, tiny_fan, tmp_path):
         m = tiny_model(tiny_fan)
         path = tmp_path / "m.ckpt"

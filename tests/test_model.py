@@ -111,6 +111,20 @@ class TestViewRegistry:
         b3 = m.register_views(sparse_subset(tiny_fan, 5))
         assert b3 is b1
 
+    def test_numpy_integer_count_registers_as_the_int(self, tiny_fan):
+        """np.int64(5) once raised AttributeError: it was taken for a subset."""
+        m = tiny_model(tiny_fan)
+        assert m.register_views(np.int64(5)) is m.register_views(5)
+        assert m.registered_view_counts == (5,)
+
+    @pytest.mark.parametrize("count", [5.0, np.float64(5.0), True, "5", None],
+                             ids=["float", "numpy-float", "bool", "str", "none"])
+    def test_neither_count_nor_subset_rejected(self, tiny_fan, count):
+        m = tiny_model(tiny_fan)
+        with pytest.raises(GeometryError, match="expected a view count or a ViewSubset"):
+            m.register_views(count)
+        assert m.registered_view_counts == ()
+
     def test_conflicting_indices_same_count_rejected(self, tiny_fan):
         m = tiny_model(tiny_fan)
         m.register_views(5)

@@ -17,7 +17,6 @@ from sparsect.projector import (
     _joseph_tables,
     _view_rays,
     back_project,
-    dense_matrix_oracle,
     forward_project,
 )
 
@@ -129,17 +128,6 @@ class TestDenseOracle:
         y = rng.standard_normal(proj.out_shape)
         assert np.abs(proj.apply(x).ravel() - mat @ x.ravel()).max() < 1e-12
         assert np.abs(proj.applyT(y).ravel() - mat.T @ y.ravel()).max() < 1e-12
-
-    def test_builtin_dense_oracle_agrees(self, tiny_parallel):
-        mat = dense_matrix_oracle(tiny_parallel)
-        probe, _ = _rays_matrix(tiny_parallel)
-        assert np.abs(mat - probe).max() < 1e-14
-
-    def test_builtin_dense_oracle_size_guard(self):
-        g = make_geometry("parallel", n_views=4, n_det=129, det_spacing=1.0,
-                          grid=(80, 80), pixel_size=1.0)
-        with pytest.raises(ValueError):
-            dense_matrix_oracle(g)
 
 
 class TestStructure:

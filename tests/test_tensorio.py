@@ -309,6 +309,14 @@ class TestTensorCorruption:
         with pytest.raises(TensorFormatError):
             load_tensor(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # Eight more bytes would be one more float64 of a shorter payload.
+        p = tmp_path / "t.tgrd"
+        save_tensor(p, RNG.standard_normal((2, 3)))
+        p.write_bytes(p.read_bytes() + bytes(8))
+        with pytest.raises(TensorFormatError, match="8 trailing bytes"):
+            load_tensor(p)
+
     def test_cut_at_every_byte_offset_rejected(self, tmp_path):
         p = self.write_good(tmp_path)
         raw = p.read_bytes()

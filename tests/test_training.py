@@ -63,6 +63,18 @@ class TestConfig:
             TrainConfig(steps=1, view_schedule=(5,), checkpoint_every=every)
         assert TrainConfig(steps=1, view_schedule=(5,), checkpoint_every=0).checkpoint_every == 0
 
+    @pytest.mark.parametrize("field", ["steps", "view_schedule", "checkpoint_every"])
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3"],
+                             ids=["float", "bool", "numpy-float", "str"])
+    def test_non_integer_count_rejected(self, field, value):
+        name = "view count" if field == "view_schedule" else field
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            cfg(**{field: (5, value) if field == "view_schedule" else value})
+
+    def test_view_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="view count must be >= 1, got 0"):
+            cfg(view_schedule=(5, 0))
+
 
 class TestTrainLoop:
     def test_runs_and_registers_schedule(self, tiny_fan):
@@ -72,6 +84,16 @@ class TestTrainLoop:
         assert m.registered_view_counts == (5, 10)
         assert all(q in (5, 10) for _, q, *_ in res.rows)
         assert np.isfinite(res.final_loss)
+
+    def test_numpy_integer_counts_train_as_ints(self, tiny_fan):
+        """A schedule of NumPy integers once raised AttributeError in
+        register_views."""
+        images = tiny_images(tiny_fan)
+        m, ref = tiny_model(tiny_fan), tiny_model(tiny_fan)
+        res = train_loop(m, images, cfg(steps=np.int64(2), view_schedule=tuple(np.array([5, 10]))))
+        want = train_loop(ref, images, cfg(steps=2, view_schedule=(5, 10)))
+        assert m.registered_view_counts == (5, 10)
+        assert res.rows == want.rows
 
     def test_empty_or_misshapen_inputs_rejected(self, tiny_fan):
         m = tiny_model(tiny_fan)
