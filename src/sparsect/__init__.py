@@ -22,7 +22,7 @@ from .correction import CorrectionConfig, init_params, param_count
 from .refine import CHANNEL_ORDER, VARIANTS, OperatorBundle, stack_width, variant_groups
 from .model import PnpTrajectory, ReconNet
 from .losses import LossConfig, total_loss, unsupervised_loss
-from .metrics import HuMap, psnr, rmse_hu, ssim_value
+from .metrics import psnr, rmse_hu, ssim_value
 from .optim import Adam, AdamConfig
 from .fista import FistaConfig, FistaResult, fista_tv, tune_lambda, tv_prox, tv_value
 from .training import TrainConfig, TrainResult, finetune_unsupervised, train_loop
@@ -60,7 +60,6 @@ __all__ = [
     "FistaConfig",
     "FistaResult",
     "GeometryError",
-    "HuMap",
     "Image",
     "JosephProjector",
     "LossConfig",

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .geometry import _check_count
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class CorrectionConfig:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
-        if self.width < 1 or self.depth < 0 or self.c_in < 1:
-            raise ValueError("width/c_in must be >= 1 and depth >= 0")
+        for name, least in (("width", 1), ("depth", 0), ("c_in", 1)):
+            _check_count(name, getattr(self, name), least)
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 

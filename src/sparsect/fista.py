@@ -1,9 +1,12 @@
 """Iterative reconstruction baseline: monotone FISTA with isotropic TV.
 
-Objective: 0.5*||A x - y||^2 + lam * TV(x), x >= 0. The TV proximal map
-uses Chambolle's dual fixed-point iteration with a fixed inner budget so
-runs are deterministic. The monotone variant keeps the best objective seen,
-so the recorded objective trace never increases.
+Objective: 0.5*||A x - y||^2 + lam * TV(x), x >= 0. The solve starts from
+the FBP clamped at 0 and clamps each candidate. The TV proximal map uses
+Chambolle's dual fixed-point iteration with a fixed inner budget
+(`TV_ITERS` steps of size `TV_TAU`) so runs are deterministic, and the data
+term's Lipschitz constant comes from `POWER_ITERS` seeded power steps.
+Only the outer iteration count is a setting. The monotone variant keeps the
+best objective seen, so the recorded objective trace never increases.
 
 The TV terms work on flat (row-major) images: a row difference is the
 image minus itself shifted by one row (W pixels), a column difference the
@@ -17,45 +20,27 @@ subtract exact zeros, and each pixel gets the bytes of the 2-D slices.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .fbp import FbpOperator
-from .geometry import Image, Sinogram
+from .geometry import Image, Sinogram, _check_count
 from .metrics import psnr
 from .projector import _STORE, JosephProjector
+
+TV_TAU = 0.125  # dual step of the TV prox
+TV_ITERS = 20  # dual steps per TV prox
+POWER_ITERS = 20  # power steps of the Lipschitz estimate
 
 
 @dataclass(frozen=True)
 class FistaConfig:
     n_iters: int = 60
-    tv_iters: int = 20
-    power_iters: int = 20
-    tau: float = 0.125  # dual step for the TV prox
-    nonneg: bool = True
-    fbp_init: bool = True
 
     def __post_init__(self):
-        for name, least in (("n_iters", 0), ("tv_iters", 0), ("power_iters", 1)):
-            _check_count(name, getattr(self, name), least)
-        _check_tau(self.tau)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse an iteration count that is not an integer (Python's or
-    NumPy's; a bool is not one) or is below `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
-def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
+        _check_count("n_iters", self.n_iters, 0)
 
 
 @dataclass
@@ -116,7 +101,9 @@ def tv_value(x: np.ndarray) -> float:
     return float(np.sqrt(g[0], out=g[0]).sum())
 
 
-def tv_prox(b: np.ndarray, weight: float, n_iters: int = 20, tau: float = 0.125) -> np.ndarray:
+def tv_prox(
+    b: np.ndarray, weight: float, n_iters: int = TV_ITERS, tau: float = TV_TAU
+) -> np.ndarray:
     """argmin_x 0.5*||x-b||^2 + weight*TV(x), via the dual ascent of Chambolle.
 
     Each step is p <- (p + tau*g) / (1 + tau*|g|) with
@@ -131,7 +118,8 @@ def tv_prox(b: np.ndarray, weight: float, n_iters: int = 20, tau: float = 0.125)
     memory layout of b.
     """
     _check_count("n_iters", n_iters, 0)
-    _check_tau(tau)
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
     if np.isnan(weight):
         raise ValueError("TV weight is NaN")
     if weight == math.inf:
@@ -164,7 +152,7 @@ def tv_prox(b: np.ndarray, weight: float, n_iters: int = 20, tau: float = 0.125)
     return np.subtract(b, out, out=out)
 
 
-def estimate_lipschitz(proj: JosephProjector, n_iters: int = 20) -> float:
+def estimate_lipschitz(proj: JosephProjector, n_iters: int = POWER_ITERS) -> float:
     """Largest eigenvalue of A^T A by seeded power iteration (data-term Lipschitz)."""
     _check_count("n_iters", n_iters, 1)
     rng = np.random.default_rng(0)
@@ -196,17 +184,12 @@ def fista_tv(y: Sinogram, lam: float, cfg: FistaConfig = FistaConfig()) -> Fista
         r = ax - data
         return 0.5 * float((r * r).sum()) + lam * tv_value(x)
 
-    if cfg.fbp_init:
-        x = FbpOperator(y.geom, y.subset).apply(data)
-        if cfg.nonneg:
-            x = np.maximum(x, 0.0)
-    else:
-        x = np.zeros(proj.in_shape)
+    x = np.maximum(FbpOperator(y.geom, y.subset).apply(data), 0.0)
 
     # The power iteration is seeded, so a stored estimate equals a fresh one.
     lip = _STORE.get(
-        ("lipschitz", y.geom.fingerprint, y.subset.indices.tobytes(), cfg.power_iters),
-        lambda: estimate_lipschitz(proj, cfg.power_iters),
+        ("lipschitz", y.geom.fingerprint, y.subset.indices.tobytes()),
+        lambda: estimate_lipschitz(proj, POWER_ITERS),
     )
     step = 1.0 / lip
 
@@ -218,9 +201,8 @@ def fista_tv(y: Sinogram, lam: float, cfg: FistaConfig = FistaConfig()) -> Fista
 
     for _ in range(cfg.n_iters):
         grad_z = proj.applyT(az - data)
-        cand = tv_prox(z - step * grad_z, lam * step, cfg.tv_iters, cfg.tau)
-        if cfg.nonneg:
-            np.maximum(cand, 0.0, out=cand)
+        cand = tv_prox(z - step * grad_z, lam * step, TV_ITERS, TV_TAU)
+        np.maximum(cand, 0.0, out=cand)
         a_cand = proj.apply(cand)
         f_cand = objective(cand, a_cand)
         x_prev, ax_prev = x, ax

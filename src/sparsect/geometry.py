@@ -2,13 +2,16 @@
 
 All lengths are millimetres, all angles radians. Images are (m1, m2) arrays
 indexed [row, col]; sinograms are (n_views, n_det) with one row per view.
+View counts are not stored: `ScanGeometry.n_views_full` is the length of
+its angle array and `ViewSubset.q1` that of its index array.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,6 @@ class ScanGeometry:
     """
 
     beam: str
-    n_views_full: int
     view_angles_full: np.ndarray
     n_det: int
     det_spacing: float
@@ -43,17 +45,15 @@ class ScanGeometry:
     def __post_init__(self):
         if self.beam not in (PARALLEL, FAN):
             raise GeometryError(f"unknown beam type {self.beam!r}")
-        if self.n_views_full < 1 or self.n_det < 2:
-            raise GeometryError("need at least 1 view and 2 detector cells")
+        ang = np.asarray(self.view_angles_full, dtype=np.float64)
+        object.__setattr__(self, "view_angles_full", ang)
+        if ang.ndim != 1 or ang.size < 1 or self.n_det < 2:
+            raise GeometryError("need a 1-D array of at least 1 view angle and 2 detector cells")
         if self.det_spacing <= 0 or self.pixel_size <= 0:
             raise GeometryError("spacings must be positive")
         m1, m2 = self.grid
         if m1 < 1 or m2 < 1:
             raise GeometryError("grid dimensions must be positive")
-        ang = np.asarray(self.view_angles_full, dtype=np.float64)
-        object.__setattr__(self, "view_angles_full", ang)
-        if ang.shape != (self.n_views_full,):
-            raise GeometryError("angle count does not match n_views_full")
         if np.any(np.diff(ang) <= 0):
             raise GeometryError("view angles must be strictly increasing")
         if ang[0] < 0 or ang[-1] >= self.angular_range + 1e-12:
@@ -74,7 +74,7 @@ class ScanGeometry:
 
     @property
     def fingerprint(self) -> str:
-        """Digest of every field.
+        """Digest of every field and of the view count.
 
         Equal geometries have equal fingerprints, so operators built on
         either share their tables (`projector._STORE`), and a sinogram fits
@@ -91,6 +91,10 @@ class ScanGeometry:
         )).encode())
         h.update(self.view_angles_full.tobytes())
         return h.hexdigest()
+
+    @property
+    def n_views_full(self) -> int:
+        return len(self.view_angles_full)
 
     @property
     def angular_range(self) -> float:
@@ -125,17 +129,18 @@ class ViewSubset:
     """Strictly increasing view indices selecting q1 of the full views."""
 
     indices: np.ndarray
-    q1: int
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         object.__setattr__(self, "indices", idx)
         if idx.ndim != 1 or idx.size == 0:
             raise GeometryError("subset needs at least one view index")
-        if self.q1 != idx.size:
-            raise GeometryError("q1 does not match the index count")
         if idx[0] < 0 or np.any(np.diff(idx) <= 0):
             raise GeometryError("subset indices must be strictly increasing")
+
+    @property
+    def q1(self) -> int:
+        return len(self.indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +188,6 @@ def make_geometry(
     angles = np.arange(n_views, dtype=np.float64) * (rng / max(n_views, 1))
     return ScanGeometry(
         beam=beam,
-        n_views_full=n_views,
         view_angles_full=angles,
         n_det=n_det,
         det_spacing=float(det_spacing),
@@ -196,7 +200,7 @@ def make_geometry(
 
 def full_subset(geom: ScanGeometry) -> ViewSubset:
     """Subset selecting every view."""
-    return ViewSubset(np.arange(geom.n_views_full), geom.n_views_full)
+    return ViewSubset(np.arange(geom.n_views_full))
 
 
 # Every scan is a (geometry, view subset, array) triple. These two checks are
@@ -219,6 +223,15 @@ def _checked(a, shape: tuple[int, int], kind: str) -> np.ndarray:
     if a.shape != shape:
         raise GeometryError(f"{kind} shape {a.shape} does not match the scan's {shape}")
     return a
+
+
+def _check_count(name: str, value, least: int, error: type[ValueError] = ValueError) -> None:
+    """Refuse, with `error`, a count that is not an integer (Python's or
+    NumPy's; a bool is not one) or is below `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
 
 
 # Two view angles closer than this are the same view.
@@ -295,13 +308,14 @@ def view_orbits(
 
 def sparse_subset(geom: ScanGeometry, q1: int) -> ViewSubset:
     """Decimate the full view set to q1 views: index k -> floor(k*n/q1)."""
-    if not 1 <= q1 <= geom.n_views_full:
+    _check_count("q1", q1, 1, GeometryError)
+    if q1 > geom.n_views_full:
         raise GeometryError(
             f"q1 must be in [1, {geom.n_views_full}], got {q1}"
         )
     k = np.arange(q1, dtype=np.int64)
     idx = (k * geom.n_views_full) // q1
-    return ViewSubset(idx, q1)
+    return ViewSubset(idx)
 
 
 def perturb_geometry(geom: ScanGeometry, rel: float, seed: int) -> ScanGeometry:

@@ -2,9 +2,12 @@
 
 The structural term uses mean local SSIM with a Gaussian window in valid
 mode (windows fully inside the image), so constant inputs reduce to the
-closed-form luminance ratio and ssim(x, x) is exactly 1. Windows shrink to
-the largest odd size that fits a smaller image. The Gaussian is separable,
-so windowed averaging is two band-matrix products, one per image axis.
+closed-form luminance ratio and ssim(x, x) is exactly 1. The window and
+stabilising constants are those of Wang et al. (2004): an 11-pixel window
+of sigma 1.5, K1 = 0.01 and K2 = 0.03, on images of data range 1. Windows
+shrink to the largest odd size that fits a smaller image. The Gaussian is
+separable, so windowed averaging is two band-matrix products, one per image
+axis. The only loss setting is gamma, the weight of the SSIM term.
 """
 
 from __future__ import annotations
@@ -17,14 +20,16 @@ from . import autodiff as ad
 from .refine import StageContext
 
 
+SSIM_WIN_SIZE = 11
+SSIM_SIGMA = 1.5
+# (K * data range)^2 with K1 = 0.01, K2 = 0.03 and a data range of 1.
+SSIM_C1 = (0.01 * 1.0) ** 2
+SSIM_C2 = (0.03 * 1.0) ** 2
+
+
 @dataclass(frozen=True)
 class LossConfig:
     gamma: float = 1.0
-    win_size: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    data_range: float = 1.0
 
     def __post_init__(self):
         if not self.gamma >= 0:
@@ -78,15 +83,11 @@ def l1_loss(x: ad.TensorNode, target: ad.TensorNode) -> ad.TensorNode:
     return ad.mean_(ad.abs_(x - target))
 
 
-def ssim_graph(
-    x: ad.TensorNode, target: ad.TensorNode, cfg: LossConfig = LossConfig()
-) -> ad.TensorNode:
+def ssim_graph(x: ad.TensorNode, target: ad.TensorNode) -> ad.TensorNode:
     """Mean local SSIM between two (H, W) nodes as a scalar node."""
     shape = x.value.shape
-    win = effective_win_size(cfg.win_size, shape)
-    op = GaussianWindowOp(shape, win, cfg.sigma)
-    c1 = (cfg.k1 * cfg.data_range) ** 2
-    c2 = (cfg.k2 * cfg.data_range) ** 2
+    op = GaussianWindowOp(shape, effective_win_size(SSIM_WIN_SIZE, shape), SSIM_SIGMA)
+    c1, c2 = SSIM_C1, SSIM_C2
 
     mx = ad.linear_op(x, op)
     my = ad.linear_op(target, op)
@@ -106,7 +107,7 @@ def total_loss(
 ):
     """Pixel L1 plus gamma * (1 - SSIM); returns (total, l1, ssim_term)."""
     l1 = l1_loss(x, target)
-    ssim_term = (1.0 - ssim_graph(x, target, cfg)) * cfg.gamma
+    ssim_term = (1.0 - ssim_graph(x, target)) * cfg.gamma
     return l1 + ssim_term, l1, ssim_term
 
 

@@ -1,19 +1,25 @@
 """Scalar image-quality metrics (no differentiation machinery involved).
 
 `ssim_value` deliberately re-derives SSIM from windowed central moments
-rather than the raw-moment route the training graph uses; the two agree to
-rounding and serve as mutual checks.
+rather than the raw-moment route the training graph uses; the two share
+the window and constants of `losses`, agree to rounding and serve as mutual
+checks. `rmse_hu` maps attenuation to Hounsfield units with water at
+`MU_WATER`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .losses import LossConfig, effective_win_size, gaussian_window
+from .losses import (
+    SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WIN_SIZE, effective_win_size, gaussian_window,
+)
+
+# Attenuation of water in reconstruction units: 0 HU.
+MU_WATER = 0.2
 
 
 def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
@@ -26,18 +32,15 @@ def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
     return 10.0 * math.log10(data_range * data_range / mse)
 
 
-def ssim_value(
-    x: np.ndarray, ref: np.ndarray, cfg: LossConfig = LossConfig()
-) -> float:
+def ssim_value(x: np.ndarray, ref: np.ndarray) -> float:
     """Mean local SSIM over valid Gaussian windows."""
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
         raise ValueError("shape mismatch")
-    win = effective_win_size(cfg.win_size, x.shape)
-    kern = gaussian_window(win, cfg.sigma)
-    c1 = (cfg.k1 * cfg.data_range) ** 2
-    c2 = (cfg.k2 * cfg.data_range) ** 2
+    win = effective_win_size(SSIM_WIN_SIZE, x.shape)
+    kern = gaussian_window(win, SSIM_SIGMA)
+    c1, c2 = SSIM_C1, SSIM_C2
 
     wx = sliding_window_view(x, (win, win))
     wy = sliding_window_view(ref, (win, win))
@@ -53,20 +56,13 @@ def ssim_value(
     return float(np.mean(lum * con))
 
 
-@dataclass(frozen=True)
-class HuMap:
-    """Affine map from reconstruction units to Hounsfield units."""
-
-    mu_water: float = 0.2
-    slope: float = 1.0
-
-    def to_hu(self, x: np.ndarray) -> np.ndarray:
-        return 1000.0 * self.slope * (np.asarray(x) - self.mu_water) / self.mu_water
-
-
-def rmse_hu(x: np.ndarray, ref: np.ndarray, hu: HuMap = HuMap()) -> float:
+def rmse_hu(x: np.ndarray, ref: np.ndarray) -> float:
     """Root-mean-square error after mapping both images to HU."""
     if np.shape(x) != np.shape(ref):
         raise ValueError(f"shape mismatch {np.shape(x)} vs {np.shape(ref)}")
-    d = hu.to_hu(x) - hu.to_hu(ref)
+    d = _to_hu(x) - _to_hu(ref)
     return float(np.sqrt(np.mean(d * d)))
+
+
+def _to_hu(x: np.ndarray) -> np.ndarray:
+    return 1000.0 * (np.asarray(x) - MU_WATER) / MU_WATER

@@ -28,6 +28,7 @@ from .geometry import (
     ScanGeometry,
     Sinogram,
     ViewSubset,
+    _check_count,
     _view_subset,
     sparse_subset,
 )
@@ -64,8 +65,7 @@ class ReconNet:
         share_stage_params: bool = True,
         leaky_slope: float = 0.01,
     ):
-        if n_stages < 1:
-            raise ValueError("need at least one stage")
+        _check_count("n_stages", n_stages, 1)
         self.geom = geom
         self.groups = variant_groups(variant)
         self.variant = variant
@@ -188,8 +188,7 @@ class ReconNet:
         called with each image (initialization included) and its values are
         recorded alongside.
         """
-        if max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+        _check_count("max_iters", max_iters, 0)
         ctx = self._context(y)
         tape = ad.Tape()
         pnode_sets = [

@@ -26,8 +26,7 @@ from .checkpoint import (
     restore_rng,
     save_checkpoint,
 )
-from .fista import _check_count
-from .geometry import Sinogram, _checked
+from .geometry import Sinogram, _check_count, _checked
 from .losses import LossConfig, total_loss, unsupervised_loss
 from .model import ReconNet
 from .optim import Adam, AdamConfig
@@ -201,8 +200,7 @@ def finetune_unsupervised(
 
     steps=0 leaves the model untouched (useful as a no-op baseline).
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_count("steps", steps, 0)
     loss_cfg = LossConfig(gamma=gamma)
     optimizer = Adam(model.named_parameters(), AdamConfig(lr=lr))
     loss_fn = lambda out, ctx: unsupervised_loss(out, ctx, loss_cfg)

@@ -591,6 +591,21 @@ class TestTapeDiscipline:
         with pytest.raises(TapeError):
             a * b
 
+    def test_shape_mismatch_rejected(self):
+        t = Tape()
+        with pytest.raises(ValueError, match=r"shape mismatch \(4,\) vs \(3,\)"):
+            t.leaf(np.ones(3)) * t.leaf(np.ones(4))
+
+    def test_concat_of_nothing_rejected(self):
+        with pytest.raises(ValueError, match="nothing to concatenate"):
+            ad.concat_channels([])
+
+    def test_concat_across_tapes_rejected(self):
+        a = Tape().leaf(np.ones((1, 2, 2)))
+        b = Tape().leaf(np.ones((1, 2, 2)))
+        with pytest.raises(TapeError, match="different tapes"):
+            ad.concat_channels([a, b])
+
     def test_record_after_backward_rejected(self):
         t = Tape()
         x = t.leaf(np.array([1.0]))

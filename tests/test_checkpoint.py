@@ -352,6 +352,22 @@ class TestValidation:
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("garble, message", [
+        (lambda params, name: params.setdefault(name + ".extra", params[name]),
+         "parameter name sets differ"),
+        (lambda params, name: params.update({name + ".renamed": params.pop(name)}),
+         "parameter name sets differ"),
+        (lambda params, name: params.update({name: params[name][..., None]}), "shape"),
+    ], ids=["extra-name", "renamed", "shape"])
+    def test_parameters_that_do_not_fit_the_model_rejected(self, tiny_fan, tmp_path, garble,
+                                                           message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(tiny_fan))
+        ckpt = load_checkpoint(path)
+        garble(ckpt.params, "p0.cm.w")
+        with pytest.raises(CheckpointMismatchError, match=message):
+            restore_model(tiny_model(tiny_fan, seed=1), ckpt)
+
     def test_restores_demand_matching_state_blocks(self, tiny_fan, tmp_path):
         m = tiny_model(tiny_fan)
         path = tmp_path / "m.ckpt"

@@ -88,6 +88,19 @@ class TestInit:
             with pytest.raises(ValueError, match="leaky_slope"):
                 CorrectionConfig(leaky_slope=slope)
 
+    @pytest.mark.parametrize("field", ["width", "depth", "c_in"])
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"],
+                             ids=["float", "bool", "numpy-float", "str"])
+    def test_non_integer_count_rejected(self, field, value):
+        """width=2.5 once failed later, in rng.normal, and depth=True built a
+        one-level network."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CorrectionConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = CorrectionConfig(width=np.int64(3), depth=np.int32(1), c_in=np.uint8(2))
+        assert init_params(cfg, 0).keys() == init_params(CorrectionConfig(3, 1, 2), 0).keys()
+
 
 class TestForward:
     def test_zero_stack_maps_to_zero_image(self):

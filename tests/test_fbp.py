@@ -334,7 +334,7 @@ class TestViewUpsampler:
         decimated = sparse_subset(geom, q)
         # Shifted one view on, the subset leaves full view 0 before its first
         # view, so both wrap rows carry weight; at q=1 both fold into one row.
-        shifted = ViewSubset(np.sort((decimated.indices + 1) % geom.n_views_full), q)
+        shifted = ViewSubset(np.sort((decimated.indices + 1) % geom.n_views_full))
         for sub in (decimated, shifted):
             up = ViewUpsampler(geom, sub)
             rng = np.random.default_rng(13)

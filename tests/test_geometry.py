@@ -10,6 +10,7 @@ from sparsect.geometry import (
     Image,
     ScanGeometry,
     Sinogram,
+    ViewSubset,
     full_subset,
     geometry_from_config,
     geometry_preset,
@@ -20,6 +21,8 @@ from sparsect.geometry import (
     sparse_subset,
     view_orbits,
 )
+
+from sparsect.experiments import toy_geometry
 
 from conftest import fista_tv_geometry
 
@@ -94,6 +97,34 @@ class TestValidation:
             make_geometry("fan", n_views=8, n_det=32, det_spacing=1.0,
                           grid=(8, 8), pixel_size=1.0)
 
+    @pytest.mark.parametrize("beam, field, value, message", [
+        ("parallel", "det_spacing", 0.0, "spacings must be positive"),
+        ("parallel", "pixel_size", -1.0, "spacings must be positive"),
+        ("parallel", "grid", (0, 8), "grid dimensions must be positive"),
+        ("parallel", "grid", (8, -1), "grid dimensions must be positive"),
+        ("parallel", "view_angles_full", [0.0, 0.5, 0.5, 1.0], "strictly increasing"),
+        ("parallel", "view_angles_full", [0.0, 1.0, 0.9], "strictly increasing"),
+        ("parallel", "view_angles_full", [-0.1, 1.0], "outside the angular range"),
+        ("parallel", "view_angles_full", [0.0, 3.2], "outside the angular range"),
+        ("parallel", "view_angles_full", [], "at least 1 view angle"),
+        ("parallel", "view_angles_full", [[0.0, 1.0]], "1-D array"),
+        ("fan", "src_dist", 0.0, "fan distances must be positive"),
+        ("fan", "det_dist", -1.0, "fan distances must be positive"),
+    ])
+    def test_invalid_field_rejected(self, beam, field, value, message):
+        fan = dict(src_dist=40.0, det_dist=40.0) if beam == "fan" else {}
+        g = make_geometry(beam, n_views=8, n_det=32, det_spacing=1.0, grid=(8, 8),
+                          pixel_size=1.0, **fan)
+        with pytest.raises(GeometryError, match=message):
+            ScanGeometry(**{**vars(g), field: value})
+
+    def test_view_count_is_the_angle_count(self):
+        g = make_geometry("parallel", n_views=8, n_det=32, det_spacing=1.0, grid=(8, 8),
+                          pixel_size=1.0)
+        assert "n_views_full" not in {f.name for f in dataclasses.fields(ScanGeometry)}
+        assert g.n_views_full == 8
+        assert ScanGeometry(**{**vars(g), "view_angles_full": [0.0, 1.0]}).n_views_full == 2
+
 
 class TestSubsets:
     def test_three_of_eight(self, tiny_parallel):
@@ -111,6 +142,35 @@ class TestSubsets:
             sparse_subset(tiny_parallel, 0)
         with pytest.raises(GeometryError):
             sparse_subset(tiny_parallel, tiny_parallel.n_views_full + 1)
+
+    @pytest.mark.parametrize("q1", [2.5, True, 15.0, np.float64(15), "15", None],
+                             ids=["float", "bool", "whole-float", "numpy-float", "str", "none"])
+    def test_count_that_is_not_an_integer_rejected(self, q1):
+        """2.5 once gave 3 views when only the stored count's check refused
+        it, and True and 15.0 gave 1 and 15 views."""
+        with pytest.raises(GeometryError, match="q1 must be an integer"):
+            sparse_subset(toy_geometry(), q1)
+
+    def test_numpy_integer_count_accepted(self):
+        g = toy_geometry()
+        s = sparse_subset(g, np.int64(15))
+        assert s.q1 == 15 and type(s.q1) is int
+        assert np.array_equal(s.indices, sparse_subset(g, 15).indices)
+
+    def test_view_count_is_the_index_count(self):
+        assert [f.name for f in dataclasses.fields(ViewSubset)] == ["indices"]
+        assert ViewSubset(np.array([0, 4, 9])).q1 == 3
+
+    @pytest.mark.parametrize("indices, message", [
+        ([], "at least one view index"),
+        ([[0, 1]], "at least one view index"),
+        ([3, 1], "strictly increasing"),
+        ([0, 2, 2], "strictly increasing"),
+        ([-1, 2], "strictly increasing"),
+    ])
+    def test_invalid_indices_rejected(self, indices, message):
+        with pytest.raises(GeometryError, match=message):
+            ViewSubset(np.array(indices, dtype=np.int64))
 
     @given(n=st.integers(2, 512), q=st.integers(1, 512))
     @settings(max_examples=200, deadline=None)
@@ -239,6 +299,18 @@ pixel_size_mm=1.0
         p = tmp_path / "g.cfg"
         p.write_text(self.CONFIG + "beam=fan\n")
         with pytest.raises(GeometryError):
+            geometry_from_config(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + "n_det 63\n", "expected key=value"),
+        (lambda text: text.replace("n_views=60", "n_views=sixty"), "bad value 'sixty' for n_views"),
+        (lambda text: text.replace("grid_m1=32", "grid_m1=3.5"), "bad value '3.5' for grid_m1"),
+        (lambda text: text.replace("src_dist_mm=60\n", ""), "fan beam needs"),
+    ], ids=["no-equals", "bad-int", "float-for-int", "fan-without-distance"])
+    def test_malformed_config_rejected(self, tmp_path, edit, message):
+        p = tmp_path / "g.cfg"
+        p.write_text(edit(self.CONFIG))
+        with pytest.raises(GeometryError, match=message):
             geometry_from_config(p)
 
     def test_resolve_dispatches(self, tmp_path):

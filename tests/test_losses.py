@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,10 @@ import sparsect.autodiff as ad
 from sparsect.autodiff import Tape
 from sparsect.geometry import Sinogram, sparse_subset
 from sparsect.losses import (
+    SSIM_C1,
+    SSIM_C2,
+    SSIM_SIGMA,
+    SSIM_WIN_SIZE,
     GaussianWindowOp,
     LossConfig,
     effective_win_size,
@@ -157,6 +163,15 @@ class TestSsimGraph:
 
 
 class TestLossConfig:
+    def test_gamma_is_the_only_setting(self):
+        assert [f.name for f in dataclasses.fields(LossConfig)] == ["gamma"]
+
+    def test_ssim_constants_are_the_published_ones(self):
+        """Wang et al. (2004): an 11-pixel Gaussian window of sigma 1.5,
+        K1 = 0.01 and K2 = 0.03, here on a data range of 1."""
+        assert (SSIM_WIN_SIZE, SSIM_SIGMA) == (11, 1.5)
+        assert (SSIM_C1, SSIM_C2) == ((0.01 * 1.0) ** 2, (0.03 * 1.0) ** 2)
+
     @pytest.mark.parametrize("gamma", [-2.0, -1e-12, float("nan")])
     def test_gamma_must_be_non_negative(self, gamma):
         with pytest.raises(ValueError, match="gamma"):

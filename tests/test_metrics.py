@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsect.autodiff import Tape
-from sparsect.losses import LossConfig, ssim_graph
-from sparsect.metrics import HuMap, psnr, rmse_hu, ssim_value
+from sparsect.losses import effective_win_size, ssim_graph
+from sparsect.metrics import psnr, rmse_hu, ssim_value
 
 RNG = np.random.default_rng(29)
 
@@ -72,23 +73,31 @@ class TestSsimValue:
         assert abs(g - ssim_value(x, y)) < 1e-10
 
     def test_window_shrink_consistency(self):
-        # small image flows through the shrunken-window code path
+        # small image flows through the shrunken-window code path: the
+        # 11-pixel window shrinks to 5 on a 6x6 image, in both routes
+        assert effective_win_size(11, (6, 6)) == 5
         x, y = RNG.random((6, 6)), RNG.random((6, 6))
-        wide = ssim_value(x, y, LossConfig(win_size=11))
-        narrow = ssim_value(x, y, LossConfig(win_size=5))
-        assert wide == narrow  # 11 shrinks to 5 on a 6x6 image
+        t = Tape()
+        g = float(ssim_graph(t.leaf(x), t.constant(y)).value)
+        assert abs(g - ssim_value(x, y)) < 1e-10
+        assert ssim_value(x, x.copy()) == 1.0
+
+
+class TestNoSettings:
+    @pytest.mark.parametrize("metric", [ssim_value, rmse_hu], ids=lambda f: f.__name__)
+    def test_metric_takes_only_the_image_pair(self, metric):
+        assert list(inspect.signature(metric).parameters) == ["x", "ref"]
 
 
 class TestHounsfield:
     def test_water_maps_to_zero(self):
-        hu = HuMap(mu_water=0.2)
-        assert hu.to_hu(np.array([0.2]))[0] == 0.0
+        # water (0.2) is 0 HU and air (0) is -1000 HU
+        assert rmse_hu(np.full((3, 3), 0.2), np.zeros((3, 3))) == 1000.0
 
     def test_hand_values(self):
-        hu = HuMap(mu_water=0.2)
-        # air at 0 attenuation -> -1000 HU
-        assert hu.to_hu(np.array([0.0]))[0] == pytest.approx(-1000.0)
-        assert hu.to_hu(np.array([0.4]))[0] == pytest.approx(1000.0)
+        water = np.full((4, 4), 0.2)
+        assert rmse_hu(np.zeros((4, 4)), water) == pytest.approx(1000.0)
+        assert rmse_hu(np.full((4, 4), 0.4), water) == pytest.approx(1000.0)
 
     def test_rmse_hand_value(self):
         x = np.full((5, 5), 0.21)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparsect.autodiff as ad
+from sparsect import model as model_module
 from sparsect.autodiff import Tape
 from sparsect.correction import param_count
 from sparsect.experiments import toy_model, toy_phantoms
@@ -23,6 +24,10 @@ from sparsect.projector import _STORE, JosephProjector
 from sparsect.refine import stack_width, variant_groups
 
 RNG = np.random.default_rng(17)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the counts were checked")
 
 
 def tiny_model(geom, **kw):
@@ -101,6 +106,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ReconNet(tiny_fan, variant="q")
 
+    @pytest.mark.parametrize("field", ["width", "depth", "n_stages"])
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"],
+                             ids=["float", "bool", "numpy-float", "str"])
+    def test_non_integer_count_rejected_before_any_work(self, tiny_fan, field, value,
+                                                        monkeypatch):
+        """n_stages=2.5 once built a model whose forward failed in range(),
+        and n_stages=True a one-stage model."""
+        monkeypatch.setattr(model_module, "init_params", no_work)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_model(tiny_fan, **{field: value})
+
+    def test_numpy_integer_counts_build_the_int_model(self, tiny_fan):
+        y, _ = measure(tiny_fan, 5)
+        m = tiny_model(tiny_fan, width=np.int64(2), depth=np.int32(1), n_stages=np.uint8(2))
+        assert m.forward(y).data.tobytes() == tiny_model(tiny_fan).forward(y).data.tobytes()
+
 
 class TestViewRegistry:
     def test_count_and_subset_registration_agree(self, tiny_fan):
@@ -128,14 +149,14 @@ class TestViewRegistry:
     def test_conflicting_indices_same_count_rejected(self, tiny_fan):
         m = tiny_model(tiny_fan)
         m.register_views(5)
-        shifted = ViewSubset(sparse_subset(tiny_fan, 5).indices + 1, 5)
+        shifted = ViewSubset(sparse_subset(tiny_fan, 5).indices + 1)
         with pytest.raises(GeometryError):
             m.register_views(shifted)
 
     def test_out_of_range_subset_rejected(self, tiny_fan):
         m = tiny_model(tiny_fan)
         with pytest.raises(GeometryError):
-            m.register_views(ViewSubset(np.array([0, 99]), 2))
+            m.register_views(ViewSubset(np.array([0, 99])))
 
     def test_registered_counts_sorted(self, tiny_fan):
         m = tiny_model(tiny_fan)
@@ -251,6 +272,24 @@ class TestPnp:
         y, _ = measure(tiny_fan, 5)
         with pytest.raises(ValueError, match="max_iters"):
             tiny_model(tiny_fan).run_pnp(y, max_iters=-3)
+
+    @pytest.mark.parametrize("max_iters", [2.5, True, np.float64(2.0), "2"],
+                             ids=["float", "bool", "numpy-float", "str"])
+    def test_non_integer_iteration_count_rejected_before_any_work(self, tiny_fan, max_iters,
+                                                                  monkeypatch):
+        """max_iters=True once ran one stage."""
+        y, _ = measure(tiny_fan, 5)
+        m = tiny_model(tiny_fan)
+        monkeypatch.setattr(ReconNet, "_context", no_work)
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            m.run_pnp(y, max_iters)
+
+    def test_numpy_integer_iteration_count_accepted(self, tiny_fan):
+        y, _ = measure(tiny_fan, 5)
+        m = tiny_model(tiny_fan)
+        got = m.run_pnp(y, np.int64(3)).images
+        want = m.run_pnp(y, 3).images
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_unshared_stages_hold_last_params_past_depth(self, tiny_fan):
         m = tiny_model(tiny_fan, n_stages=2, share_stage_params=False)

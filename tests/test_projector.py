@@ -283,7 +283,7 @@ class TestSubsetRows:
         if isinstance(views, int):
             sub = sparse_subset(geom, views)
         else:
-            sub = ViewSubset(np.array(views), len(views))
+            sub = ViewSubset(np.array(views))
         if not kept:
             monkeypatch.setattr(projector, "_CACHE_LIMIT_BYTES", 0)
         proj_s, proj_f = JosephProjector(geom, sub), JosephProjector(geom, full_subset(geom))

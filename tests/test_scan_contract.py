@@ -24,7 +24,7 @@ def message(fn) -> str:
 
 
 def test_out_of_range_subset_gets_one_error_everywhere(small_fan):
-    bad = ViewSubset(np.array([0, 5, 12]), 3)
+    bad = ViewSubset(np.array([0, 5, 12]))
     refusals = [lambda cls=cls: cls(small_fan, bad) for cls in OPERATORS] + [
         lambda: Sinogram(np.zeros((3, small_fan.n_det)), small_fan, bad),
         lambda: ReconNet(small_fan, width=2, depth=1, n_stages=1).register_views(bad),

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparsect import training as training_module
 from sparsect.experiments import ToySpec, toy_model, toy_phantoms
 from sparsect.geometry import Sinogram, sparse_subset
 from sparsect.model import ReconNet
@@ -292,6 +293,28 @@ class TestFinetune:
         res = finetune_unsupervised(m, y, steps=30, lr=1e-3)
         losses = [r[2] for r in res.rows]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
+
+    @pytest.mark.parametrize("steps", [2.5, True, np.float64(2.0), "2"],
+                             ids=["float", "bool", "numpy-float", "str"])
+    def test_non_integer_steps_rejected_before_any_work(self, tiny_fan, tmp_path, steps,
+                                                        monkeypatch):
+        """steps=True once ran one step, and 2.5 failed in range() after the
+        optimizer was built."""
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("the optimizer was built before steps was checked")
+
+        monkeypatch.setattr(training_module, "Adam", no_optimizer)
+        log = tmp_path / "ft.tsv"
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            finetune_unsupervised(tiny_model(tiny_fan), self.make_measurement(tiny_fan),
+                                  steps=steps, log_path=log)
+        assert not log.exists()
+
+    def test_numpy_integer_steps_accepted(self, tiny_fan):
+        y = self.make_measurement(tiny_fan)
+        got = finetune_unsupervised(tiny_model(tiny_fan), y, steps=np.int64(2), lr=1e-3)
+        want = finetune_unsupervised(tiny_model(tiny_fan), y, steps=2, lr=1e-3)
+        assert got.rows == want.rows
 
     def test_negative_steps_rejected(self, tiny_fan, tmp_path):
         log = tmp_path / "ft.tsv"
