@@ -160,11 +160,6 @@ def mean_(x):
                   lambda g: np.full(x.value.shape, float(g) / n))
 
 
-def sum_(x):
-    return _unary(x, x.value.sum(),
-                  lambda g: np.full(x.value.shape, float(g)))
-
-
 def leaky_relu(x, slope=0.01):
     """max(x, slope * x), which is x where x >= 0 and slope * x elsewhere
     for a slope in [0, 1]; ties take the positive branch. The node keeps no

@@ -8,24 +8,26 @@ Layout (little-endian):
     depth       u32      coarse-grid recursion depth
     n_stages    u32
     c_in        u32      refinement channels fed to each stage
-    leaky_slope f64
+    leaky_slope f64      always correction.LEAKY_SLOPE
     gamma       f64      structural term weight used during training
     param_count u64      recomputed and verified on load
     flags       u8       bit0 shared stage params, bit1 optimizer state,
                          bit2 rng state
     n_params    u32, then per entry:
         name_len u32, name utf8, rank u32, dims rank*u64, f64 payload
-    [optimizer] step u64, lr/beta1/beta2/eps f64, then first-moment and
-                second-moment entry lists in the same encoding
+    [optimizer] step u64, lr/beta1/beta2/eps f64 (the last three always
+                optim.BETA1/BETA2/EPS), then first-moment and second-moment
+                entry lists in the same encoding
     [rng]       json_len u32, utf8 json of the bit-generator state
 
 Given the scan geometry, `build_model` rebuilds the saved model, and a load
-refuses a header that no model or loss config accepts. A save writes a
-temporary file beside the target and moves it into place
-(`tensorio.atomic_write`), so a failed save keeps the previous checkpoint and
-a save that returned survives a crash. The checkpoint it replaces is freed on
-a background thread, so the save does not wait for the filesystem to release
-the old file's blocks.
+refuses a header that no model or loss config accepts. The slope, beta and
+eps slots hold constants of the method; a load refuses a file whose values
+differ and names the slot. A save writes a temporary file beside the target
+and moves it into place (`tensorio.atomic_write`), so a failed save keeps the
+previous checkpoint and a save that returned survives a crash. The
+checkpoint it replaces is freed on a background thread, so the save does not
+wait for the filesystem to release the old file's blocks.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import CorrectionConfig, param_count
+from .correction import LEAKY_SLOPE, CorrectionConfig, param_count
 from .geometry import ScanGeometry
 from .losses import LossConfig
 from .model import ReconNet
-from .optim import Adam, AdamConfig
+from .optim import BETA1, BETA2, EPS, Adam, AdamConfig
 from .refine import VARIANTS, stack_width, variant_groups
 from .tensorio import atomic_write
 
@@ -69,7 +71,6 @@ class Checkpoint:
     depth: int
     n_stages: int
     c_in: int
-    leaky_slope: float
     gamma: float
     shared: bool
     params: dict[str, np.ndarray]
@@ -132,14 +133,13 @@ def save_checkpoint(
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<IIII", cfg.width, cfg.depth, model.n_stages, cfg.c_in))
-        f.write(struct.pack("<dd", cfg.leaky_slope, gamma))
+        f.write(struct.pack("<dd", LEAKY_SLOPE, gamma))
         f.write(struct.pack("<Q", model.param_count))
         f.write(struct.pack("<B", flags))
         _write_entries(f, model.named_parameters())
         if optimizer is not None:
-            c = optimizer.cfg
             f.write(struct.pack("<Q", optimizer.t))
-            f.write(struct.pack("<dddd", c.lr, c.beta1, c.beta2, c.eps))
+            f.write(struct.pack("<dddd", optimizer.cfg.lr, BETA1, BETA2, EPS))
             _write_entries(f, optimizer.m)
             _write_entries(f, optimizer.v)
         if rng is not None:
@@ -157,6 +157,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: malformed checkpoint: {e}") from e
 
 
+def _check_constant(path: str | Path, name: str, value: float, fixed: float):
+    """Refuse a slot that holds anything but the constant it stores (NaN too)."""
+    if value != fixed:
+        raise CheckpointError(f"{path}: {name} is {value!r}, not the fixed {fixed!r}")
+
+
 def _decode(buf: bytes, path: str | Path) -> Checkpoint:
     if buf[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {buf[:4]!r}")
@@ -169,7 +175,8 @@ def _decode(buf: bytes, path: str | Path) -> Checkpoint:
     slope, gamma = struct.unpack_from("<dd", buf, 24)
     if n_stages < 1:
         raise CheckpointError(f"{path}: n_stages must be >= 1, got {n_stages}")
-    CorrectionConfig(width, depth, c_in, slope)  # each raises ValueError
+    _check_constant(path, "leaky_slope", slope, LEAKY_SLOPE)
+    CorrectionConfig(width, depth, c_in)  # each raises ValueError
     LossConfig(gamma=gamma)
     (stored_count,) = struct.unpack_from("<Q", buf, 40)
     (flags,) = struct.unpack_from("<B", buf, 48)
@@ -195,10 +202,13 @@ def _decode(buf: bytes, path: str | Path) -> Checkpoint:
         off += 8
         lr, b1, b2, eps = struct.unpack_from("<dddd", buf, off)
         off += 32
+        _check_constant(path, "beta1", b1, BETA1)
+        _check_constant(path, "beta2", b2, BETA2)
+        _check_constant(path, "eps", eps, EPS)
         m, off = _read_entries(buf, off)
         v, off = _read_entries(buf, off)
         try:
-            cfg = AdamConfig(lr=lr, beta1=b1, beta2=b2, eps=eps)
+            cfg = AdamConfig(lr=lr)
         except ValueError as e:
             raise CheckpointError(f"{path}: optimizer settings: {e}") from None
         adam = {"t": t, "m": m, "v": v, "cfg": cfg}
@@ -217,7 +227,6 @@ def _decode(buf: bytes, path: str | Path) -> Checkpoint:
         depth=depth,
         n_stages=n_stages,
         c_in=c_in,
-        leaky_slope=slope,
         gamma=gamma,
         shared=shared,
         params=params,
@@ -234,7 +243,6 @@ def restore_model(model: ReconNet, ckpt: Checkpoint):
         ("depth", cfg.depth, ckpt.depth),
         ("n_stages", model.n_stages, ckpt.n_stages),
         ("c_in", cfg.c_in, ckpt.c_in),
-        ("leaky_slope", cfg.leaky_slope, ckpt.leaky_slope),
         ("shared", model.share_stage_params, ckpt.shared),
     ]
     bad = [f"{k}: model={a} checkpoint={b}" for k, a, b in pairs if a != b]
@@ -257,7 +265,6 @@ def build_model(geom: ScanGeometry, ckpt: Checkpoint) -> ReconNet:
         n_stages=ckpt.n_stages,
         variant=ckpt.variant,
         share_stage_params=ckpt.shared,
-        leaky_slope=ckpt.leaky_slope,
     )
     restore_model(model, ckpt)
     return model

@@ -3,9 +3,10 @@
 A head conv lifts the stacked per-channel inputs to `width` features, a
 recursive coarse-grid block adds corrections computed at halved resolutions
 (a truncated-Neumann-series expansion of the error, one term per level), and
-a tail conv maps back to one image channel. All activations are LeakyReLU.
-Parameters live in plain name->array dicts so the optimizer and checkpoint
-code can treat them uniformly.
+a tail conv maps back to one image channel. All activations are LeakyReLU
+with the fixed slope `LEAKY_SLOPE`; checkpoints store it, and a load
+refuses a file whose slope differs. Parameters live in plain name->array
+dicts so the optimizer and checkpoint code can treat them uniformly.
 
 The forward graph drops each activation once its last consumer has read
 it. Without a gradient graph (constant parameters and input), nothing else
@@ -25,21 +26,20 @@ import numpy as np
 from . import autodiff as ad
 from .geometry import _check_count
 
+LEAKY_SLOPE = 0.01
+
 
 @dataclass(frozen=True)
 class CorrectionConfig:
-    """Architecture knobs: feature width, recursion depth, stack channels."""
+    """Architecture: feature width, recursion depth, stack channels."""
 
     width: int = 32
     depth: int = 5
     c_in: int = 8
-    leaky_slope: float = 0.01
 
     def __post_init__(self):
         for name, least in (("width", 1), ("depth", 0), ("c_in", 1)):
             _check_count(name, getattr(self, name), least)
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 
 
 def param_count(width: int, depth: int, c_in: int = 8) -> int:
@@ -88,7 +88,7 @@ def _conv_shapes(cfg: CorrectionConfig) -> dict[str, tuple]:
 def init_params(cfg: CorrectionConfig, seed: int) -> dict[str, np.ndarray]:
     """Kaiming fan-in normal weights (leaky-ReLU gain), zero biases."""
     rng = np.random.default_rng(seed)
-    gain = math.sqrt(2.0 / (1.0 + cfg.leaky_slope**2))
+    gain = math.sqrt(2.0 / (1.0 + LEAKY_SLOPE**2))
     params: dict[str, np.ndarray] = {}
     for name, shape in _conv_shapes(cfg).items():
         if name.endswith(".b"):
@@ -97,10 +97,6 @@ def init_params(cfg: CorrectionConfig, seed: int) -> dict[str, np.ndarray]:
             fan_in = shape[1] * shape[2] * shape[3]
             params[name] = rng.normal(0.0, gain / math.sqrt(fan_in), shape)
     return params
-
-
-def actual_param_count(params: dict[str, np.ndarray]) -> int:
-    return sum(int(v.size) for v in params.values())
 
 
 def wrap_params(tape: ad.Tape, params: dict[str, np.ndarray]):
@@ -112,19 +108,19 @@ def wrap_params(tape: ad.Tape, params: dict[str, np.ndarray]):
 # forward graph
 # ---------------------------------------------------------------------------
 
-def _conv_act(x, pnodes, name, slope):
+def _conv_act(x, pnodes, name):
     """LeakyReLU of the 3x3 conv `name` applied to x."""
     return ad.leaky_relu(
-        ad.conv3x3(x, pnodes[f"{name}.w"], pnodes[f"{name}.b"]), slope
+        ad.conv3x3(x, pnodes[f"{name}.w"], pnodes[f"{name}.b"]), LEAKY_SLOPE
     )
 
 
-def _smooth(x, pnodes, prefix, slope):
+def _smooth(x, pnodes, prefix):
     """Two 3x3 convs with LeakyReLU after each. Rebinding `h` drops the first
     activation once the second conv has read it."""
-    h = _conv_act(x, pnodes, f"{prefix}.c1", slope)
+    h = _conv_act(x, pnodes, f"{prefix}.c1")
     h = ad.conv3x3(h, pnodes[f"{prefix}.c2.w"], pnodes[f"{prefix}.c2.b"])
-    return ad.leaky_relu(h, slope)
+    return ad.leaky_relu(h, LEAKY_SLOPE)
 
 
 def _coarse_block(level, feat, pnodes, cfg: CorrectionConfig):
@@ -137,11 +133,11 @@ def _coarse_block(level, feat, pnodes, cfg: CorrectionConfig):
     written out rather than passed to `_smooth`, whose caller would hold
     the concatenation through both convs.
     """
-    n, slope = cfg.depth, cfg.leaky_slope
+    n = cfg.depth
     if level == n:
-        return _smooth(feat, pnodes, f"g{n + 1}", slope)
+        return _smooth(feat, pnodes, f"g{n + 1}")
     i = level + 1
-    g = _smooth(feat, pnodes, f"g{i}", slope)
+    g = _smooth(feat, pnodes, f"g{i}")
     _, h, w = g.value.shape
     pad_h, pad_w = h % 2, w % 2
     g_even = ad.replicate_pad_br(g, pad_h, pad_w) if pad_h or pad_w else g
@@ -153,9 +149,9 @@ def _coarse_block(level, feat, pnodes, cfg: CorrectionConfig):
         up = ad.crop_br(up, h, w)
     x = ad.concat_channels([g, up])
     del g, up
-    x = _conv_act(x, pnodes, f"gt{i}.c1", slope)
+    x = _conv_act(x, pnodes, f"gt{i}.c1")
     x = ad.conv3x3(x, pnodes[f"gt{i}.c2.w"], pnodes[f"gt{i}.c2.b"])
-    return ad.leaky_relu(x, slope)
+    return ad.leaky_relu(x, LEAKY_SLOPE)
 
 
 def apply_correction(stack, pnodes, cfg: CorrectionConfig):
@@ -164,8 +160,7 @@ def apply_correction(stack, pnodes, cfg: CorrectionConfig):
         raise ValueError(
             f"stack has {stack.value.shape[0]} channels, config wants {cfg.c_in}"
         )
-    slope = cfg.leaky_slope
-    feat = _conv_act(stack, pnodes, "cm", slope)
+    feat = _conv_act(stack, pnodes, "cm")
     feat = feat + _coarse_block(0, feat, pnodes, cfg)
-    img = _conv_act(feat, pnodes, "ca", slope)
+    img = _conv_act(feat, pnodes, "ca")
     return ad.reshape(img, img.value.shape[1:])

@@ -31,6 +31,8 @@ class ScanGeometry:
     ``view_angles_full`` covers [0, pi) for parallel beam and [0, 2*pi) for
     fan beam, strictly increasing. ``src_dist``/``det_dist`` are the
     source-to-isocenter and isocenter-to-detector distances (fan only).
+    Counts must be integers and lengths finite; ``grid`` is stored as a
+    pair of Python ints.
     """
 
     beam: str
@@ -47,13 +49,17 @@ class ScanGeometry:
             raise GeometryError(f"unknown beam type {self.beam!r}")
         ang = np.asarray(self.view_angles_full, dtype=np.float64)
         object.__setattr__(self, "view_angles_full", ang)
-        if ang.ndim != 1 or ang.size < 1 or self.n_det < 2:
-            raise GeometryError("need a 1-D array of at least 1 view angle and 2 detector cells")
-        if self.det_spacing <= 0 or self.pixel_size <= 0:
-            raise GeometryError("spacings must be positive")
+        if ang.ndim != 1 or ang.size < 1:
+            raise GeometryError("need a 1-D array of at least 1 view angle")
+        _check_count("n_det", self.n_det, 2, GeometryError)
+        if not (0 < self.det_spacing < math.inf and 0 < self.pixel_size < math.inf):
+            raise GeometryError("spacings must be positive and finite")
         m1, m2 = self.grid
         if m1 < 1 or m2 < 1:
             raise GeometryError("grid dimensions must be positive")
+        for m in self.grid:
+            _check_count("grid dimension", m, 1, GeometryError)
+        object.__setattr__(self, "grid", (int(m1), int(m2)))
         if np.any(np.diff(ang) <= 0):
             raise GeometryError("view angles must be strictly increasing")
         if ang[0] < 0 or ang[-1] >= self.angular_range + 1e-12:
@@ -61,8 +67,8 @@ class ScanGeometry:
         if self.beam == FAN:
             if self.src_dist is None or self.det_dist is None:
                 raise GeometryError("fan beam needs src_dist and det_dist")
-            if self.src_dist <= 0 or self.det_dist < 0:
-                raise GeometryError("fan distances must be positive")
+            if not (0 < self.src_dist < math.inf and 0 <= self.det_dist < math.inf):
+                raise GeometryError("fan distances must be positive and finite")
             if self.src_dist <= self.support_radius:
                 raise GeometryError("source inside the object support")
         if self.fov_radius < self.support_radius - 1e-9:
@@ -85,7 +91,7 @@ class ScanGeometry:
         h = hashlib.blake2b(digest_size=16)
         h.update(repr((
             self.beam, int(self.n_views_full), int(self.n_det),
-            float(self.det_spacing), tuple(map(int, self.grid)),
+            float(self.det_spacing), self.grid,
             float(self.pixel_size),
             *(None if d is None else float(d) for d in (self.src_dist, self.det_dist)),
         )).encode())
@@ -184,14 +190,15 @@ def make_geometry(
     det_dist: float | None = None,
 ) -> ScanGeometry:
     """Build a geometry with uniformly spaced views over the beam's range."""
+    _check_count("n_views", n_views, 1, GeometryError)
     rng = math.pi if beam == PARALLEL else 2.0 * math.pi
-    angles = np.arange(n_views, dtype=np.float64) * (rng / max(n_views, 1))
+    angles = np.arange(n_views, dtype=np.float64) * (rng / n_views)
     return ScanGeometry(
         beam=beam,
         view_angles_full=angles,
         n_det=n_det,
         det_spacing=float(det_spacing),
-        grid=(int(grid[0]), int(grid[1])),
+        grid=tuple(grid),
         pixel_size=float(pixel_size),
         src_dist=None if src_dist is None else float(src_dist),
         det_dist=None if det_dist is None else float(det_dist),
@@ -319,9 +326,12 @@ def sparse_subset(geom: ScanGeometry, q1: int) -> ViewSubset:
 
 
 def perturb_geometry(geom: ScanGeometry, rel: float, seed: int) -> ScanGeometry:
-    """Scale fan src/det distances by independent factors in [1-rel, 1+rel]."""
+    """Scale fan src/det distances by independent factors in [1-rel, 1+rel],
+    for a `rel` in [0, 1), which keeps both distances positive."""
     if geom.beam != FAN:
         raise GeometryError("only fan geometries have distances to perturb")
+    if not 0.0 <= rel < 1.0:
+        raise GeometryError(f"rel must lie in [0, 1), got {rel}")
     rng = np.random.default_rng(seed)
     f_src, f_det = rng.uniform(1.0 - rel, 1.0 + rel, size=2)
     return replace(
@@ -367,7 +377,7 @@ def scaled_preset(name: str, grid: tuple[int, int]) -> ScanGeometry:
     sampling and the FOV margin stay put.
     """
     base = _preset(name)
-    m1, m2 = int(grid[0]), int(grid[1])
+    m1, m2 = grid
     ratio = math.hypot(m1, m2) / math.hypot(*base["grid"])
     scaled = {k: base[k] * ratio for k in ("det_spacing", "src_dist", "det_dist") if k in base}
     return make_geometry(**{**base, **scaled, "grid": (m1, m2)})

@@ -3,8 +3,8 @@
 `ssim_value` deliberately re-derives SSIM from windowed central moments
 rather than the raw-moment route the training graph uses; the two share
 the window and constants of `losses`, agree to rounding and serve as mutual
-checks. `rmse_hu` maps attenuation to Hounsfield units with water at
-`MU_WATER`.
+checks. `psnr` takes the images' range as 1, as the SSIM constants do.
+`rmse_hu` maps attenuation to Hounsfield units with water at `MU_WATER`.
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ from .losses import (
 MU_WATER = 0.2
 
 
-def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; identical inputs give +inf."""
+def psnr(x: np.ndarray, ref: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB for a peak of 1; identical inputs
+    give +inf."""
     if np.shape(x) != np.shape(ref):
         raise ValueError(f"shape mismatch {np.shape(x)} vs {np.shape(ref)}")
     mse = float(np.mean((np.asarray(x) - np.asarray(ref)) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(data_range * data_range / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def ssim_value(x: np.ndarray, ref: np.ndarray) -> float:

@@ -63,16 +63,12 @@ class ReconNet:
         variant: str = "g",
         seed: int = 0,
         share_stage_params: bool = True,
-        leaky_slope: float = 0.01,
     ):
         _check_count("n_stages", n_stages, 1)
         self.geom = geom
         self.groups = variant_groups(variant)
         self.variant = variant
-        self.cfg = CorrectionConfig(
-            width=width, depth=depth,
-            c_in=stack_width(self.groups), leaky_slope=leaky_slope,
-        )
+        self.cfg = CorrectionConfig(width=width, depth=depth, c_in=stack_width(self.groups))
         self.n_stages = n_stages
         self.share_stage_params = share_stage_params
         n_sets = 1 if share_stage_params else n_stages
@@ -127,10 +123,6 @@ class ReconNet:
         bundle = build_bundle(self.geom, subset)
         self._bundles[key] = bundle
         return bundle
-
-    @property
-    def registered_view_counts(self) -> tuple[int, ...]:
-        return tuple(sorted(self._bundles))
 
     # -- forward -------------------------------------------------------------
 

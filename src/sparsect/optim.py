@@ -1,4 +1,8 @@
-"""Adam with bias correction over named parameter dicts."""
+"""Adam with bias correction over named parameter dicts.
+
+The learning rate is the one setting: `BETA1`, `BETA2` and `EPS` are Adam's
+published constants (Kingma & Ba, 2015), which checkpoints store and check.
+"""
 
 from __future__ import annotations
 
@@ -7,24 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         # A negative rate climbs the loss; NaN or inf poisons every weight.
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 class Adam:
@@ -41,19 +40,19 @@ class Adam:
         missing = self.params.keys() - grads.keys()
         if missing:
             raise KeyError(f"gradients missing for {sorted(missing)}")
-        c = self.cfg
+        lr = self.cfg.lr
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, p in self.params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * (g * g)
-            p -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def state(self) -> dict:
         """Snapshot for checkpointing (copies, not views)."""

@@ -227,11 +227,3 @@ def assemble_stack(
     ]
     return ad.concat_channels(parts)
 
-
-def stage_channel_arrays(
-    x: np.ndarray, ctx: StageContext, groups: frozenset[str] = ALL_GROUPS
-) -> dict[str, np.ndarray]:
-    """Channel values for a plain image array (no gradient bookkeeping)."""
-    tape = ad.Tape()
-    nodes = stage_channels(tape.constant(x), ctx, groups)
-    return {name: node.value for name, node in nodes.items()}

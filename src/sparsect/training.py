@@ -151,7 +151,9 @@ def train_loop(
     `resume_from` restores weights, optimizer moments, and the RNG stream
     from a checkpoint written by this loop and continues at the step after
     the one it was saved on; the log is rewound to that step. A checkpoint
-    that already ran `cfg.steps` steps or more raises ValueError.
+    that already ran `cfg.steps` steps or more, or that was trained with
+    another `lr` or `gamma` than `cfg`'s, raises ValueError before the log
+    is opened.
     """
     if not images:
         raise ValueError("need at least one training image")
@@ -167,6 +169,10 @@ def train_loop(
         ckpt = load_checkpoint(resume_from)
         restore_model(model, ckpt)
         restore_optimizer(optimizer, ckpt)
+        for name, saved, asked in (("lr", optimizer.cfg.lr, cfg.lr), ("gamma", ckpt.gamma, cfg.gamma)):
+            if saved != asked:
+                raise ValueError(f"checkpoint {resume_from} was trained with {name}={saved!r}; "
+                                 f"this run asks for {name}={asked!r}")
         restore_rng(rng, ckpt)
         if optimizer.t >= cfg.steps:
             raise ValueError(

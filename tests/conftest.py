@@ -7,10 +7,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sparsect import autodiff as ad
 from sparsect import tensorio
 from sparsect.experiments import toy_geometry
 from sparsect.geometry import ScanGeometry, make_geometry, sparse_subset
 from sparsect.projector import _STORE
+from sparsect.refine import ALL_GROUPS, stage_channels
 
 
 def dense_from_op(apply_fn, in_shape, out_shape) -> np.ndarray:
@@ -24,6 +26,22 @@ def dense_from_op(apply_fn, in_shape, out_shape) -> np.ndarray:
         mat[:, j] = apply_fn(e.reshape(in_shape)).ravel()
         e[j] = 0.0
     return mat
+
+
+def sum_(x):
+    """Sum of a node's entries as a scalar node, a loss for gradient checks."""
+    return ad._unary(x, x.value.sum(), lambda g: np.full(x.value.shape, float(g)))
+
+
+def stage_channel_arrays(x: np.ndarray, ctx, groups=ALL_GROUPS) -> dict[str, np.ndarray]:
+    """`refine.stage_channels` of a plain image array, as arrays."""
+    nodes = stage_channels(ad.Tape().constant(x), ctx, groups)
+    return {name: node.value for name, node in nodes.items()}
+
+
+def registered_view_counts(model) -> tuple[int, ...]:
+    """View counts a model holds operator bundles for, ascending."""
+    return tuple(sorted(model._bundles))
 
 
 def drain_pending_free():

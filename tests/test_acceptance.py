@@ -35,8 +35,10 @@ from sparsect.metrics import psnr, ssim_value
 from sparsect.model import ReconNet
 from sparsect.phantoms import random_ellipses, shepp_logan
 from sparsect.projector import JosephProjector
-from sparsect.refine import build_bundle, build_context, stage_channel_arrays
-from sparsect.fbp import FbpOperator, fbp
+from sparsect.refine import build_bundle, build_context
+from sparsect.fbp import fbp
+
+from conftest import stage_channel_arrays
 
 
 def report(lines: list[str], n: int, ok: bool, detail: str) -> None:

@@ -378,6 +378,25 @@ def test_train_resumed_with_no_steps_left_exits_2_and_writes_nothing(tmp_path, g
     assert captured.out == "" and not second.exists() and log.read_bytes() == logged
 
 
+@pytest.mark.parametrize("setting", [["--lr", "5e-2"], ["--gamma", "0.5"]], ids=["lr", "gamma"])
+def test_train_resumed_with_other_settings_exits_2_and_writes_nothing(
+        tmp_path, geom_file, capsys, setting):
+    man, _, _ = _write_train_setup(tmp_path, geom_file)
+    first, log = tmp_path / "a.ckpt", tmp_path / "train.tsv"
+    args = ["train", "--geometry", geom_file, "--manifest", man, "--views", "6",
+            "--width", "2", "--depth", "1", "--stages", "1", "--variant", "a"]
+    assert main([*args, "--steps", "1", "--checkpoint", str(first), "--log", str(log)]) == 0
+    logged = log.read_bytes()
+    capsys.readouterr()
+    second = tmp_path / "b.ckpt"
+    rc = main([*args, "--steps", "2", *setting, "--resume-from", str(first),
+               "--checkpoint", str(second), "--log", str(log)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "this run asks for" in captured.err
+    assert captured.out == "" and not second.exists() and log.read_bytes() == logged
+
+
 def test_train_refuses_a_negative_checkpoint_interval_and_writes_nothing(
         tmp_path, geom_file, capsys):
     # argparse reads "-1" as a value, and (step + 1) % -1 == 0 on every step.

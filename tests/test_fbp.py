@@ -28,7 +28,7 @@ from sparsect.geometry import (
 )
 from sparsect.metrics import psnr
 from sparsect.phantoms import shepp_logan
-from sparsect.projector import JosephProjector, forward_project
+from sparsect.projector import forward_project
 
 from conftest import (
     MIRROR_CASES,

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,17 @@ class TestValidation:
         ("parallel", "view_angles_full", [[0.0, 1.0]], "1-D array"),
         ("fan", "src_dist", 0.0, "fan distances must be positive"),
         ("fan", "det_dist", -1.0, "fan distances must be positive"),
+        ("parallel", "n_det", 24.5, "n_det must be an integer"),
+        ("parallel", "n_det", True, "n_det must be an integer"),
+        ("parallel", "grid", (16.5, 16), "grid dimension must be an integer"),
+        ("parallel", "grid", (8, np.float64(8)), "grid dimension must be an integer"),
+        ("parallel", "det_spacing", math.nan, "spacings must be positive and finite"),
+        ("parallel", "det_spacing", math.inf, "spacings must be positive and finite"),
+        ("parallel", "pixel_size", math.nan, "spacings must be positive and finite"),
+        ("fan", "src_dist", math.nan, "fan distances must be positive and finite"),
+        ("fan", "src_dist", math.inf, "fan distances must be positive and finite"),
+        ("fan", "det_dist", math.nan, "fan distances must be positive and finite"),
+        ("fan", "det_dist", math.inf, "fan distances must be positive and finite"),
     ])
     def test_invalid_field_rejected(self, beam, field, value, message):
         fan = dict(src_dist=40.0, det_dist=40.0) if beam == "fan" else {}
@@ -117,6 +129,19 @@ class TestValidation:
                           pixel_size=1.0, **fan)
         with pytest.raises(GeometryError, match=message):
             ScanGeometry(**{**vars(g), field: value})
+
+    @pytest.mark.parametrize("n_views", [12.5, True, np.float64(12)])
+    def test_view_count_that_is_not_an_integer_rejected(self, n_views):
+        """n_views=12.5 once gave 13 views."""
+        with pytest.raises(GeometryError, match="n_views must be an integer"):
+            make_geometry("parallel", n_views=n_views, n_det=32, det_spacing=1.0,
+                          grid=(8, 8), pixel_size=1.0)
+
+    def test_numpy_integer_counts_accepted(self):
+        g = make_geometry("parallel", n_views=np.int64(8), n_det=np.int64(32), det_spacing=1.0,
+                          grid=(np.int64(8), 8), pixel_size=1.0)
+        assert g.n_views_full == 8 and g.n_det == 32 and g.det_offsets.size == 32
+        assert g.grid == (8, 8) and all(type(m) is int for m in g.grid)
 
     def test_view_count_is_the_angle_count(self):
         g = make_geometry("parallel", n_views=8, n_det=32, det_spacing=1.0, grid=(8, 8),
@@ -261,6 +286,17 @@ class TestPerturbation:
         with pytest.raises(GeometryError):
             perturb_geometry(small_parallel, rel=0.01, seed=0)
 
+    @pytest.mark.parametrize("rel", [math.nan, math.inf, -0.5, 1.0, 1.5])
+    def test_bound_outside_unit_interval_rejected(self, small_fan, rel):
+        """NaN and inf once raised OverflowError, -0.5 NumPy's ValueError,
+        and 1.5 could draw a non-positive distance."""
+        with pytest.raises(GeometryError, match=r"rel must lie in \[0, 1\)"):
+            perturb_geometry(small_fan, rel=rel, seed=0)
+
+    def test_zero_bound_keeps_the_distances(self, small_fan):
+        pg = perturb_geometry(small_fan, rel=0.0, seed=0)
+        assert (pg.src_dist, pg.det_dist) == (small_fan.src_dist, small_fan.det_dist)
+
 
 class TestConfigFiles:
     CONFIG = """\
@@ -306,7 +342,16 @@ pixel_size_mm=1.0
         (lambda text: text.replace("n_views=60", "n_views=sixty"), "bad value 'sixty' for n_views"),
         (lambda text: text.replace("grid_m1=32", "grid_m1=3.5"), "bad value '3.5' for grid_m1"),
         (lambda text: text.replace("src_dist_mm=60\n", ""), "fan beam needs"),
-    ], ids=["no-equals", "bad-int", "float-for-int", "fan-without-distance"])
+        (lambda text: text.replace("det_spacing_mm=1.6", "det_spacing_mm=nan"),
+         "spacings must be positive and finite"),
+        (lambda text: text.replace("pixel_size_mm=1.0", "pixel_size_mm=inf"),
+         "spacings must be positive and finite"),
+        (lambda text: text.replace("src_dist_mm=60", "src_dist_mm=inf"),
+         "fan distances must be positive and finite"),
+        (lambda text: text.replace("det_dist_mm=60", "det_dist_mm=nan"),
+         "fan distances must be positive and finite"),
+    ], ids=["no-equals", "bad-int", "float-for-int", "fan-without-distance", "nan-spacing",
+            "inf-pixel", "inf-source", "nan-detector"])
     def test_malformed_config_rejected(self, tmp_path, edit, message):
         p = tmp_path / "g.cfg"
         p.write_text(edit(self.CONFIG))

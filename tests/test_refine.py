@@ -10,7 +10,6 @@ from sparsect.geometry import (
     GeometryError,
     Sinogram,
     full_subset,
-    make_geometry,
     sparse_subset,
 )
 from sparsect.refine import (
@@ -20,12 +19,11 @@ from sparsect.refine import (
     assemble_stack,
     build_bundle,
     build_context,
-    stage_channel_arrays,
     stack_width,
     variant_groups,
 )
 
-from conftest import dense_from_op, numeric_grad
+from conftest import dense_from_op, numeric_grad, stage_channel_arrays, sum_
 
 RNG = np.random.default_rng(31)
 
@@ -215,7 +213,7 @@ class TestPlumbing:
         tape = Tape()
         leaf = tape.leaf(x)
         stack = assemble_stack(leaf, ctx)
-        ad.backward(ad.sum_(stack * tape.constant(w)))
+        ad.backward(sum_(stack * tape.constant(w)))
 
         fd = numeric_grad(loss_of, x, h=1e-6)
         scale = max(np.abs(fd).max(), 1.0)

@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from sparsect import tensorio
 from sparsect.tensorio import (
-    MAGIC,
     TensorFormatError,
     load_manifest,
     load_tensor,

@@ -18,6 +18,8 @@ from sparsect.training import (
     train_loop,
 )
 
+from conftest import registered_view_counts
+
 RNG = np.random.default_rng(61)
 
 
@@ -82,7 +84,7 @@ class TestTrainLoop:
         m = tiny_model(tiny_fan)
         res = train_loop(m, tiny_images(tiny_fan), cfg())
         assert len(res.rows) == 4
-        assert m.registered_view_counts == (5, 10)
+        assert registered_view_counts(m) == (5, 10)
         assert all(q in (5, 10) for _, q, *_ in res.rows)
         assert np.isfinite(res.final_loss)
 
@@ -93,7 +95,7 @@ class TestTrainLoop:
         m, ref = tiny_model(tiny_fan), tiny_model(tiny_fan)
         res = train_loop(m, images, cfg(steps=np.int64(2), view_schedule=tuple(np.array([5, 10]))))
         want = train_loop(ref, images, cfg(steps=2, view_schedule=(5, 10)))
-        assert m.registered_view_counts == (5, 10)
+        assert registered_view_counts(m) == (5, 10)
         assert res.rows == want.rows
 
     def test_empty_or_misshapen_inputs_rejected(self, tiny_fan):
@@ -261,6 +263,23 @@ class TestResume:
         resumed = tmp_path / "b.ckpt"
         with pytest.raises(ValueError, match=f"ran 2 steps of {steps}"):
             train_loop(tiny_model(tiny_fan, seed=5), images, cfg(steps=steps),
+                       log_path=log, checkpoint_path=resumed, resume_from=ck)
+        assert log.read_bytes() == logged and not resumed.exists()
+
+    @pytest.mark.parametrize("setting, saved, asked", [("lr", 1e-3, 5e-2), ("gamma", 1.0, 0.5)])
+    def test_resume_with_other_settings_raises_and_writes_nothing(
+            self, tiny_fan, tmp_path, setting, saved, asked):
+        """The checkpoint's lr once won silently over the call's, and the
+        call's gamma over the checkpoint's."""
+        images = tiny_images(tiny_fan)
+        ck, log = tmp_path / "a.ckpt", tmp_path / "t.tsv"
+        train_loop(tiny_model(tiny_fan, seed=5), images, cfg(steps=2),
+                   log_path=log, checkpoint_path=ck)
+        logged = log.read_bytes()
+        resumed = tmp_path / "b.ckpt"
+        with pytest.raises(ValueError, match=f"{setting}={saved!r}; this run asks for "
+                                             f"{setting}={asked!r}"):
+            train_loop(tiny_model(tiny_fan, seed=5), images, cfg(steps=4, **{setting: asked}),
                        log_path=log, checkpoint_path=resumed, resume_from=ck)
         assert log.read_bytes() == logged and not resumed.exists()
 
